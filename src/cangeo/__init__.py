@@ -39,9 +39,11 @@ from .fatpoints import (
     DEFAULT_PRIME,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    MAX_MATRIX_ENTRIES,
+    MAX_PRIME,
     FatPointSystem,
+    OracleLimitError,
     PointConfiguration,
-    PrimeFieldMatrix,
     alpha_rank,
     h0_fatpoints,
     h1_fatpoints,
@@ -82,9 +84,11 @@ __all__ = [
     "Enumeration",
     "FatPointSystem",
     "GeographyLine",
+    "MAX_MATRIX_ENTRIES",
+    "MAX_PRIME",
     "ModuliDims",
+    "OracleLimitError",
     "PointConfiguration",
-    "PrimeFieldMatrix",
     "SPECIAL_M4_CASE",
     "ScrollSpec",
     "ScrollWitness",

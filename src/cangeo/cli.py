@@ -6,9 +6,10 @@ two-component enumeration, `geography` for plot-ready line and point
 data.  Output goes to stdout in one of three formats; diagnostics go to
 stderr.  Identical invocations produce byte-identical stdout.
 
-Exit codes: 0 success, 2 bad input, 3 oracle measurement disagreeing
-with a closed-form prediction (rerun with another seed; persistent
-mismatch means a bug on one side or the other).
+Exit codes: 0 success, 2 bad input (an oracle system over the matrix
+size cap included), 3 oracle measurement disagreeing with a closed-form
+prediction (rerun with another seed; persistent mismatch means a bug on
+one side or the other).
 """
 
 from __future__ import annotations
@@ -64,7 +65,11 @@ class RunConfig:
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond 64 bits of input."""
+    """Deterministic Miller-Rabin with the prime bases up to 37.
+
+    Those bases are proven sufficient below about 3.3e24, far above the
+    largest modulus the oracle accepts (fatpoints.MAX_PRIME).
+    """
     if n < 2:
         return False
     small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -381,7 +386,9 @@ def _add_run_options(parser: argparse.ArgumentParser, top: bool) -> None:
     parser.add_argument("--trials", type=int, default=d(fatpoints.DEFAULT_TRIALS),
                         help="independent point configurations per oracle call")
     parser.add_argument("--prime", type=int, default=d(fatpoints.DEFAULT_PRIME),
-                        help="field modulus, a prime above 10^6")
+                        help="field modulus, a prime p with 10^6 < p <= "
+                             "3037000499 (where int64 products of residues "
+                             "stay exact)")
     parser.add_argument("--format", choices=("json", "csv", "table"),
                         default=d("table"), dest="output_format",
                         help="stdout format")
@@ -451,8 +458,9 @@ def _resolve_config(parser: argparse.ArgumentParser, args) -> RunConfig:
         parser.error("seed must be nonnegative")
     if args.trials < 1:
         parser.error("trials must be at least 1")
-    if args.prime <= MIN_PRIME or not _is_prime(args.prime):
-        parser.error(f"prime must be a prime above {MIN_PRIME}")
+    if not MIN_PRIME < args.prime <= fatpoints.MAX_PRIME or not _is_prime(args.prime):
+        parser.error(f"prime must be a prime p with {MIN_PRIME} < p <= "
+                     f"{fatpoints.MAX_PRIME}")
     return RunConfig(seed=seed, trials=args.trials, prime=args.prime,
                      output_format=args.output_format)
 
@@ -501,7 +509,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _validate(parser, args)
     config = _resolve_config(parser, args)
-    return COMMANDS[args.command](args, config)
+    try:
+        return COMMANDS[args.command](args, config)
+    except fatpoints.OracleLimitError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -19,116 +19,72 @@ import numpy as np
 DEFAULT_PRIME = 2147483647  # 2**31 - 1
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_TRIALS = 5
+# Products of two residues are formed in int64 and reduced mod p before the
+# next multiply, so no intermediate exceeds (p-1)**2 in size.  That is exact
+# while (p-1)**2 < 2**63, which holds for every p <= MAX_PRIME.
+MAX_PRIME = 3037000499
+# Cap on the entries of any matrix the oracle allocates (int64: 128 MiB).
+MAX_MATRIX_ENTRIES = 2 ** 24
 
 
-class PrimeFieldElement:
-    """An element of Z/pZ for a fixed prime p, with field arithmetic."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: int = DEFAULT_PRIME):
-        self.modulus = modulus
-        self.value = value % modulus
-
-    def _coerce(self, other):
-        if isinstance(other, PrimeFieldElement):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli")
-            return other.value
-        return int(other) % self.modulus
-
-    def __add__(self, other):
-        return PrimeFieldElement(self.value + self._coerce(other), self.modulus)
-
-    def __sub__(self, other):
-        return PrimeFieldElement(self.value - self._coerce(other), self.modulus)
-
-    def __mul__(self, other):
-        return PrimeFieldElement(self.value * self._coerce(other), self.modulus)
-
-    def inverse(self) -> "PrimeFieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return PrimeFieldElement(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o == 0:
-            raise ZeroDivisionError("division by zero")
-        return PrimeFieldElement(self.value * pow(o, -1, self.modulus), self.modulus)
-
-    def __neg__(self):
-        return PrimeFieldElement(-self.value, self.modulus)
-
-    def __eq__(self, other):
-        if isinstance(other, PrimeFieldElement):
-            return self.value == other.value and self.modulus == other.modulus
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-    def __repr__(self):
-        return f"PrimeFieldElement({self.value}, mod {self.modulus})"
+class OracleLimitError(ValueError):
+    """A modulus or a system beyond the oracle's exact range or memory cap."""
 
 
-def rank_mod_p(matrix: np.ndarray, p: int = DEFAULT_PRIME) -> int:
-    """Rank of an integer matrix over Z/pZ by Gaussian elimination.
+def _check_modulus(p: int) -> None:
+    if p > MAX_PRIME:
+        raise OracleLimitError(f"modulus {p} is above {MAX_PRIME}, where "
+                               "int64 products of residues overflow")
 
-    Entries and intermediate products stay below 2**63 because
-    (p-1)**2 < 2**63 for p = 2**31 - 1, so plain int64 arithmetic is exact.
+
+def _check_size(rows: int, cols: int) -> None:
+    if rows * cols > MAX_MATRIX_ENTRIES:
+        raise OracleLimitError(f"a {rows}x{cols} matrix exceeds the oracle's "
+                               f"cap of {MAX_MATRIX_ENTRIES} entries")
+
+
+def _echelon(matrix: np.ndarray, p: int, reduced: bool):
+    """Row echelon form over Z/pZ; returns (A, pivot columns).
+
+    Pivot rows are scaled to a leading 1 and cleared out of the rows below
+    them, and with `reduced` out of the rows above too (reduced form).  A
+    pivot row is zero left of its pivot column c, so updates touch only
+    columns c onward.
     """
-    A = np.array(matrix, dtype=np.int64) % p
-    rows, cols = A.shape
-    rank = 0
-    for c in range(cols):
-        if rank == rows:
-            break
-        pivot = None
-        for i in range(rank, rows):
-            if A[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            A[[rank, pivot]] = A[[pivot, rank]]
-        inv = pow(int(A[rank, c]), -1, p)
-        A[rank] = A[rank] * inv % p
-        live = A[rank + 1:, c] != 0
-        if live.any():
-            idx = np.nonzero(live)[0] + rank + 1
-            A[idx] = (A[idx] - A[idx, c:c + 1] * A[rank]) % p
-        rank += 1
-    return rank
-
-
-def rref_mod_p(matrix: np.ndarray, p: int = DEFAULT_PRIME):
-    """Reduced row echelon form over Z/pZ; returns (R, pivot columns)."""
-    A = np.array(matrix, dtype=np.int64) % p
+    _check_modulus(p)
+    A = np.asarray(matrix, dtype=np.int64) % p
     rows, cols = A.shape
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        pivot = None
-        for i in range(r, rows):
-            if A[i, c]:
-                pivot = i
-                break
-        if pivot is None:
+        nz = A[r:, c].nonzero()[0]
+        if nz.size == 0:
             continue
-        if pivot != r:
-            A[[r, pivot]] = A[[pivot, r]]
+        if nz[0]:
+            A[[r, r + nz[0]]] = A[[r + nz[0], r]]
+        # after the swap the other nonzero rows below are still r + nz[1:]
+        live = r + nz[1:]
+        if reduced:
+            live = np.concatenate((A[:r, c].nonzero()[0], live))
         inv = pow(int(A[r, c]), -1, p)
-        A[r] = A[r] * inv % p
-        for i in range(rows):
-            if i != r and A[i, c]:
-                A[i] = (A[i] - A[i, c] * A[r]) % p
+        A[r, c:] = A[r, c:] * inv % p
+        if live.size:
+            A[live, c:] = (A[live, c:] - A[live, c:c + 1] * A[r, c:]) % p
         pivots.append(c)
         r += 1
     return A, pivots
+
+
+def rank_mod_p(matrix: np.ndarray, p: int = DEFAULT_PRIME) -> int:
+    """Rank of an integer matrix over Z/pZ by Gaussian elimination."""
+    return len(_echelon(matrix, p, reduced=False)[1])
+
+
+def rref_mod_p(matrix: np.ndarray, p: int = DEFAULT_PRIME):
+    """Reduced row echelon form over Z/pZ; returns (R, pivot columns)."""
+    return _echelon(matrix, p, reduced=True)
 
 
 def kernel_basis_mod_p(matrix: np.ndarray, p: int = DEFAULT_PRIME) -> np.ndarray:
@@ -138,51 +94,16 @@ def kernel_basis_mod_p(matrix: np.ndarray, p: int = DEFAULT_PRIME) -> np.ndarray
     vector per free column, with a 1 in that column.  Deterministic, so
     downstream computations are reproducible.
     """
-    A = np.array(matrix, dtype=np.int64)
-    cols = A.shape[1]
-    R, pivots = rref_mod_p(A, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for row, f in enumerate(free):
-        basis[row, f] = 1
-        for i, c in enumerate(pivots):
-            basis[row, c] = (-int(R[i, f])) % p
+    R, pivots = rref_mod_p(matrix, p)
+    cols = R.shape[1]
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    _check_size(free.size, cols)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = -R[:len(pivots), free].T % p
     return basis
-
-
-class PrimeFieldMatrix:
-    """Dense matrix over Z/pZ backed by an int64 array."""
-
-    def __init__(self, entries, p: int = DEFAULT_PRIME):
-        self.p = p
-        self.array = np.array(entries, dtype=np.int64) % p
-        if self.array.ndim != 2:
-            raise ValueError("expected a two dimensional array")
-
-    @property
-    def rows(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.array.shape[1]
-
-    def __getitem__(self, key) -> PrimeFieldElement:
-        i, j = key
-        return PrimeFieldElement(int(self.array[i, j]), self.p)
-
-    def rank(self) -> int:
-        return rank_mod_p(self.array, self.p)
-
-    def kernel_basis(self) -> np.ndarray:
-        return kernel_basis_mod_p(self.array, self.p)
-
-    def transpose(self) -> "PrimeFieldMatrix":
-        return PrimeFieldMatrix(self.array.T, self.p)
-
-    def __repr__(self):
-        return f"PrimeFieldMatrix({self.rows}x{self.cols}, mod {self.p})"
 
 
 def monomial_basis(k: int) -> list[tuple[int, int, int]]:
@@ -256,11 +177,12 @@ class PointConfiguration:
         return cls(points=tuple(pts), seed=seed)
 
 
-def _falling(n: int, a: int) -> int:
-    out = 1
-    for t in range(a):
-        out *= n - t
-    return out
+def _power_table(values: np.ndarray, k: int, p: int) -> np.ndarray:
+    """table[t, e] = values[t] ** e mod p for e = 0..k."""
+    table = np.ones((values.size, k + 1), dtype=np.int64)
+    for e in range(1, k + 1):
+        table[:, e] = table[:, e - 1] * values % p
+    return table
 
 
 def vanishing_matrix(cfg: PointConfiguration, system: FatPointSystem,
@@ -269,33 +191,39 @@ def vanishing_matrix(cfg: PointConfiguration, system: FatPointSystem,
 
     One row per derivative condition: all partials d^a/dx^a d^b/dy^b with
     a + b <= r - 1 of the dehomogenized (z = 1) degree-k polynomial,
-    evaluated at each configuration point.  Columns follow monomial_basis.
+    evaluated at each configuration point.  Rows run point by point, then
+    over (a, b); columns follow monomial_basis.  The entry at monomial
+    x^i y^j is falling(i, a) falling(j, b) x^(i-a) y^(j-b), zero unless
+    i >= a and j >= b.
     """
     pts = cfg.points
     if len(pts) != system.point_count:
         raise ValueError("configuration size does not match the system")
     if len(set(pts)) != len(pts):
         raise ValueError("repeated point in configuration")
+    _check_modulus(p)
     k = system.degree
     r = system.multiplicity
-    mons = monomial_basis(k)
-    n_rows = len(pts) * r * (r + 1) // 2
-    A = np.zeros((n_rows, len(mons)), dtype=np.int64)
-    row = 0
-    for x0, y0 in pts:
-        xpow = [1] * (k + 1)
-        ypow = [1] * (k + 1)
-        for e in range(1, k + 1):
-            xpow[e] = xpow[e - 1] * x0 % p
-            ypow[e] = ypow[e - 1] * y0 % p
-        for a in range(r):
-            for b in range(r - a):
-                for col, (i, j, _) in enumerate(mons):
-                    if i >= a and j >= b:
-                        coef = _falling(i, a) * _falling(j, b) % p
-                        A[row, col] = coef * xpow[i - a] % p * ypow[j - b] % p
-                row += 1
-    return A
+    _check_size(system.conditions, system.ambient_dim)
+    xy = np.array([(x % p, y % p) for x, y in pts], dtype=np.int64)
+    xpow = _power_table(xy[:, 0], k, p)
+    ypow = _power_table(xy[:, 1], k, p)
+    # falling[a, i] = i (i-1) ... (i-a+1) mod p, which is zero for i < a
+    degrees = np.arange(k + 1)
+    falling = np.ones((r, k + 1), dtype=np.int64)
+    for a in range(1, r):
+        falling[a] = falling[a - 1] * (degrees - a + 1) % p
+    mons = np.array(monomial_basis(k))
+    i, j = mons[:, 0], mons[:, 1]
+    a, b = np.array([(a, b) for a in range(r) for b in range(r - a)]).T
+    a, b = a[:, None], b[:, None]
+    coef = falling[a, i] * falling[b, j] % p
+    A = xpow[:, np.maximum(i - a, 0)]       # (points, (a, b), monomials)
+    A *= coef
+    A %= p
+    A *= ypow[:, np.maximum(j - b, 0)]
+    A %= p
+    return A.reshape(system.conditions, system.ambient_dim)
 
 
 def h0_fatpoints(system: FatPointSystem, trials: int = DEFAULT_TRIALS,
@@ -308,6 +236,7 @@ def h0_fatpoints(system: FatPointSystem, trials: int = DEFAULT_TRIALS,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    _check_size(system.conditions, system.ambient_dim)   # before the draw
     best = None
     for t in range(trials):
         cfg = PointConfiguration.random(system.point_count, seed, p, trial=t)
@@ -351,26 +280,30 @@ def alpha_rank(d: int, s: int, trials: int = DEFAULT_TRIALS,
         raise ValueError("need at least one point")
     if trials < 1:
         raise ValueError("need at least one trial")
+    sys_low = FatPointSystem(d - 1, 1, s)
+    sys_high = FatPointSystem(d, 1, s)
+    n_high = sys_high.ambient_dim
+    # Before anything is built: the larger vanishing matrix, and the product
+    # matrix, which has at least 3 * expected_h0 of the lower system rows.
+    _check_size(s, n_high)
+    _check_size(3 * sys_low.expected_h0, n_high)
     low = monomial_basis(d - 1)
     high_index = {mon: t for t, mon in enumerate(monomial_basis(d))}
-    n_high = len(high_index)
     shifts = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     maps = [np.array([high_index[(i + si, j + sj, l + sl)] for (i, j, l) in low])
             for (si, sj, sl) in shifts]
 
     best: tuple[int, int, int] | None = None
-    sys_low = FatPointSystem(d - 1, 1, s)
-    sys_high = FatPointSystem(d, 1, s)
     for t in range(trials):
         cfg = PointConfiguration.random(s, seed, p, trial=t)
         kernel = kernel_basis_mod_p(vanishing_matrix(cfg, sys_low, p), p)
         dim_source = 3 * kernel.shape[0]
+        _check_size(dim_source, n_high)
         prod = np.zeros((dim_source, n_high), dtype=np.int64)
-        for v, vec in enumerate(kernel):
-            for w, col_map in enumerate(maps):
-                prod[3 * v + w, col_map] = vec
+        for w, col_map in enumerate(maps):
+            prod[w::3, col_map] = kernel
         rank = rank_mod_p(prod, p)
-        dim_target = sys_high.ambient_dim - rank_mod_p(
+        dim_target = n_high - rank_mod_p(
             vanishing_matrix(cfg, sys_high, p), p)
         triple = (rank, dim_source, dim_target)
         if best is None or (rank, -dim_source, -dim_target) > (

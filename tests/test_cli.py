@@ -14,12 +14,13 @@ from cangeo import cli
 RUN = [sys.executable, "-m", "cangeo"]
 
 
-def run_cli(*argv, env_extra=None):
+def run_cli(*argv, env_extra=None, timeout=None):
     env = dict(os.environ)
     env.pop("CANGEO_SEED", None)
     if env_extra:
         env.update(env_extra)
-    return subprocess.run(RUN + list(argv), capture_output=True, env=env)
+    return subprocess.run(RUN + list(argv), capture_output=True, env=env,
+                          timeout=timeout)
 
 
 def run_main(capsys, *argv):
@@ -243,6 +244,32 @@ def test_prime_validation():
     ok = run_cli("oracle", "h0", "--k", "4", "--r", "1", "--s", "2",
                  "--prime", "1000003")
     assert ok.returncode == 0
+
+
+def test_prime_above_the_exact_int64_range_exits_2():
+    # (p-1)**2 overflows int64 above 3037000499; this system used to read
+    # measured=0 there, understating h0
+    argv = ("oracle", "h0", "--k", "4", "--r", "2", "--s", "5",
+            "--format", "csv")
+    assert run_cli(*argv, "--prime", "4294967311").returncode == 2
+    for prime in ("2147483647", "3037000493"):   # default, largest accepted
+        proc = run_cli(*argv, "--prime", prime)
+        assert proc.returncode == 0
+        row = next(csv.DictReader(io.StringIO(proc.stdout.decode())))
+        assert row["measured"] == "1"   # the double conic
+
+
+def test_oversized_oracle_system_exits_2():
+    # 55000 x 20301 int64 entries (~9 GB) would be allocated without the cap
+    proc = run_cli("oracle", "h0", "--k", "200", "--r", "10", "--s", "1000",
+                   timeout=30)
+    assert proc.returncode == 2
+    assert b"cap" in proc.stderr
+    for argv in (("oracle", "alpha", "--d", "200", "--s", "1"),
+                 ("table", "--d", "70..70", "--s", "1..1", "--oracle")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
 
 
 def test_trials_validation():

@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from cangeo.fatpoints import (
     DEFAULT_PRIME,
+    MAX_MATRIX_ENTRIES,
+    MAX_PRIME,
     FatPointSystem,
     PointConfiguration,
-    PrimeFieldElement,
-    PrimeFieldMatrix,
     alpha_rank,
     h0_fatpoints,
     h1_fatpoints,
@@ -117,35 +117,23 @@ def test_special_system_double_line():
     assert speciality_defect(system) == 1
 
 
+def test_vanishing_matrix_matches_rational_rows():
+    # entry by entry, including r > k (whole rows zero), negative
+    # coordinates and residues just below P
+    pts = [(0, 0), (1, 0), (0, 1), (2, 3), (-4, 7), (P - 1, P - 2)]
+    cfg = PointConfiguration(points=tuple(pts), seed=0)
+    for k in range(7):
+        for r in range(1, 5):
+            mat = vanishing_matrix(cfg, FatPointSystem(k, r, len(pts)), P)
+            expected = [[int(v) % P for v in row]
+                        for row in _rational_rows(k, r, pts)]
+            assert mat.dtype == np.int64
+            assert mat.tolist() == expected, (k, r)
+
+
 # ---------------------------------------------------------------------------
-# field element and matrix wrappers
+# the elimination kernel
 # ---------------------------------------------------------------------------
-
-def test_prime_field_element_arithmetic():
-    a = PrimeFieldElement(P - 1)
-    b = PrimeFieldElement(2)
-    assert (a + b).value == 1
-    assert (a * b).value == P - 2
-    assert (a - a).value == 0
-    assert (-b).value == P - 2
-    assert (b * b.inverse()).value == 1
-    assert (a / a).value == 1
-    assert PrimeFieldElement(5) == PrimeFieldElement(5 + P)
-    with pytest.raises(ZeroDivisionError):
-        PrimeFieldElement(0).inverse()
-
-
-def test_prime_field_matrix_wrapper():
-    m = PrimeFieldMatrix([[1, 2], [2, 4], [0, 1]], P)
-    assert (m.rows, m.cols) == (3, 2)
-    assert m.rank() == 2
-    assert m.transpose().rank() == 2
-    assert m[1, 1] == PrimeFieldElement(4)
-    square = PrimeFieldMatrix([[1, 2], [2, 4]], P)
-    assert square.rank() == 1
-    ker = square.kernel_basis()
-    assert ker.shape == (1, 2)
-
 
 def test_rref_pivots():
     mat = np.array([[2, 4, 6], [1, 2, 4]], dtype=np.int64)
@@ -174,6 +162,9 @@ small_matrices = st.integers(1, 6).flatmap(
 def test_rank_equals_transpose_rank(entries):
     mat = np.array(entries, dtype=np.int64)
     assert rank_mod_p(mat, P) == rank_mod_p(mat.T.copy(), P)
+    # equal unless P divides every maximal minor (all below 3.4e12 here)
+    assert rank_mod_p(mat, P) == _rational_rank(
+        [[Fraction(v) for v in row] for row in entries])
 
 
 @given(small_matrices)
@@ -185,6 +176,49 @@ def test_kernel_is_annihilated(entries):
     for vec in kernel:
         for row in mat:
             assert sum(int(a) * int(b) for a, b in zip(row, vec)) % P == 0
+
+
+def test_exact_at_the_largest_accepted_prime():
+    p = 3037000493   # the largest prime <= MAX_PRIME
+    assert (MAX_PRIME - 1) ** 2 < 2 ** 63
+    rng = np.random.default_rng(7)
+    top = [[int(v) for v in row] for row in rng.integers(p - 10 ** 6, p, (4, 9))]
+    # two more rows in the span of the first four: rank 4, kernel of dim 5
+    rows = top + [[(a * 3 + b * (p - 2) + c) % p for a, b, c in zip(*top[:3])],
+                  [(a * (p - 1) + d * 5) % p for a, d in zip(top[0], top[3])]]
+    mat = np.array(rows, dtype=np.int64)
+    assert rank_mod_p(mat, p) == 4
+    kernel = kernel_basis_mod_p(mat, p)
+    assert kernel.shape == (5, 9)
+    for vec in kernel:
+        for row in rows:
+            assert sum(a * int(b) for a, b in zip(row, vec)) % p == 0
+
+
+def test_moduli_that_overflow_int64_are_rejected():
+    big = 4294967311   # prime, (big - 1)**2 > 2**63
+    mat = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    for fn in (rank_mod_p, rref_mod_p, kernel_basis_mod_p):
+        with pytest.raises(ValueError, match="overflow"):
+            fn(mat, big)
+    cfg = PointConfiguration(points=((1, 2), (3, 4)), seed=0)
+    with pytest.raises(ValueError, match="overflow"):
+        vanishing_matrix(cfg, FatPointSystem(4, 2, 2), big)
+    with pytest.raises(ValueError, match="overflow"):
+        h0_fatpoints(FatPointSystem(4, 2, 5), p=big)
+
+
+def test_matrix_size_cap():
+    # 55000 x 20301 and a 60297-row product matrix: rejected before any draw
+    with pytest.raises(ValueError, match="cap"):
+        h0_fatpoints(FatPointSystem(200, 10, 1000))
+    with pytest.raises(ValueError, match="cap"):
+        alpha_rank(200, 1)
+    # a 5000-column kernel basis of a 1-row input would be 5000 x 5000
+    with pytest.raises(ValueError, match="cap"):
+        kernel_basis_mod_p(np.zeros((1, 5000), dtype=np.int64))
+    widest = FatPointSystem(40, 5, 30)   # the largest system in tests and bench
+    assert widest.conditions * widest.ambient_dim < MAX_MATRIX_ENTRIES
 
 
 # ---------------------------------------------------------------------------
