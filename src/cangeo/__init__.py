@@ -39,6 +39,7 @@ from .fatpoints import (
     DEFAULT_PRIME,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    MAX_ELIMINATION_WORK,
     MAX_MATRIX_ENTRIES,
     MAX_PRIME,
     FatPointSystem,
@@ -48,7 +49,6 @@ from .fatpoints import (
     h0_fatpoints,
     h1_fatpoints,
     monomial_basis,
-    speciality_defect,
     vanishing_matrix,
 )
 from .invariants import (
@@ -84,6 +84,7 @@ __all__ = [
     "Enumeration",
     "FatPointSystem",
     "GeographyLine",
+    "MAX_ELIMINATION_WORK",
     "MAX_MATRIX_ENTRIES",
     "MAX_PRIME",
     "ModuliDims",
@@ -120,7 +121,6 @@ __all__ = [
     "scroll_line_hits",
     "scroll_surface_invariants",
     "smooth_cover_exists",
-    "speciality_defect",
     "two_component_points",
     "vanishing_matrix",
     "very_ample",

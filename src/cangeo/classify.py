@@ -1,8 +1,9 @@
 """Case analysis for pairs (d, s): embedding line bundle d*L - E_1 - ... - E_s.
 
-Pure integer arithmetic.  Every zone boundary is evaluated with exact
-rationals, never floats, because several bounds land exactly on
-half-integers and an off-by-one there flips a verdict.
+Pure integer arithmetic.  Several zone boundaries land exactly on
+half-integers, where an off-by-one flips a verdict, so every boundary is
+stated once, in `zones(d)`, as an integer threshold in s with its
+denominator cleared; the verdicts only compare s against that record.
 
 Verdicts are three valued.  "Unknown" is reserved for the gaps where
 neither the sufficient nor the necessary bound applies; those gaps are
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class TriState(Enum):
@@ -58,22 +60,54 @@ DEGREE1_PAIRS = frozenset(
 OPEN_PAIRS = frozenset({(5, 12), (6, 17)})
 
 
-def _half(n: int) -> Fraction:
-    return Fraction(n, 2)
+class Zones(NamedTuple):
+    """Integer thresholds in s for one d.
+
+    Each comment states the rational bound a field replaces for d >= 5;
+    d = 2, 3, 4 come from a literal table.
+    """
+
+    ample_max: int      # very ample iff s <= d^2/2 + 3d/2 - 5
+    cover_yes_max: int  # smooth cover if s <= d^2/5 + 13d/10 + 21/10; 14 at d = 5
+    cover_no_min: int   # no smooth cover if s >= d^2/5 + 3d/2 + 14/5
+    alpha_yes_max: int  # alpha onto and Ext zero if s <= d^2/2 - d/2 + 1
+    alpha_no_min: int   # alpha not onto and Ext nonzero if s > (d^2 - 1)/2 ...
+    alpha_yes_min: int  # ... but alpha onto again if s >= d^2/2 + 3d/2 + 1
+    rigid_max: int      # rigid if s <= (d^2-d+2)/2 to d = 6, (2d^2+13d+21)/10 after
+
+
+_SMALL_D_ZONES = {
+    2: Zones(1, 1, 2, 1, 2, 6, 1),
+    3: Zones(6, 6, 7, 4, 5, 10, 4),
+    4: Zones(10, 10, 11, 7, 8, 15, 7),
+}
+
+
+def zones(d: int) -> Zones:
+    """The zone thresholds for d >= 2, every denominator cleared."""
+    if d in _SMALL_D_ZONES:
+        return _SMALL_D_ZONES[d]
+    dd = d * d
+    sufficient = (2 * dd + 13 * d + 21) // 10
+    alpha_yes_max = (dd - d + 2) // 2
+    return Zones(
+        ample_max=(dd + 3 * d - 10) // 2,
+        cover_yes_max=14 if d == 5 else sufficient,
+        cover_no_min=-(-(2 * dd + 15 * d + 28) // 10),   # ceiling
+        alpha_yes_max=alpha_yes_max,
+        alpha_no_min=(dd + 1) // 2,
+        alpha_yes_min=(dd + 3 * d + 2) // 2,
+        rigid_max=alpha_yes_max if d <= 6 else sufficient,
+    )
+
+
+def _tri(yes: bool, no: bool) -> TriState:
+    return TriState.YES if yes else TriState.NO if no else TriState.UNKNOWN
 
 
 def very_ample(pair: BlowupPair) -> TriState:
     """Is d*L - E very ample on the blown up plane?  Never unknown."""
-    d, s = pair.d, pair.s
-    if d == 2:
-        ok = s == 1
-    elif d == 3:
-        ok = s <= 6
-    elif d == 4:
-        ok = s <= 10
-    else:
-        ok = s <= _half(d * d) + Fraction(3, 2) * d - 5
-    return TriState.YES if ok else TriState.NO
+    return _tri(pair.s <= zones(pair.d).ample_max, True)
 
 
 def smooth_cover_exists(pair: BlowupPair) -> TriState:
@@ -84,24 +118,8 @@ def smooth_cover_exists(pair: BlowupPair) -> TriState:
     is a sufficient bound and a necessary bound with a genuine gap between
     them.
     """
-    d, s = pair.d, pair.s
-    if d == 2:
-        return TriState.YES if s == 1 else TriState.NO
-    if d == 3:
-        return TriState.YES if s <= 6 else TriState.NO
-    if d == 4:
-        return TriState.YES if s <= 10 else TriState.NO
-    necessary = Fraction(d * d, 5) + Fraction(3, 2) * d + Fraction(14, 5)
-    if d == 5:
-        if s <= 14:
-            return TriState.YES
-        return TriState.NO if s >= necessary else TriState.UNKNOWN
-    sufficient = Fraction(d * d, 5) + Fraction(13, 10) * d + Fraction(21, 10)
-    if s <= sufficient:
-        return TriState.YES
-    if s >= necessary:
-        return TriState.NO
-    return TriState.UNKNOWN
+    z, s = zones(pair.d), pair.s
+    return _tri(s <= z.cover_yes_max, s >= z.cover_no_min)
 
 
 def alpha_surjective(pair: BlowupPair) -> TriState:
@@ -111,21 +129,9 @@ def alpha_surjective(pair: BlowupPair) -> TriState:
     zone, a no zone, and a one or two integer gap in between that stays
     unknown.
     """
-    d, s = pair.d, pair.s
-    if d == 2:
-        return TriState.YES if (s == 1 or s >= 6) else TriState.NO
-    if d == 3:
-        return TriState.YES if (s <= 4 or s >= 10) else TriState.NO
-    if d == 4:
-        return TriState.YES if (s <= 7 or s >= 15) else TriState.NO
-    low_yes = _half(d * d) - _half(d) + 1     # integer for every d
-    no_from = _half(d * d) - _half(1)         # half-integer for even d
-    no_to = _half(d * d) + Fraction(3, 2) * d + 1
-    if s <= low_yes or s >= no_to:
-        return TriState.YES
-    if no_from < s < no_to:
-        return TriState.NO
-    return TriState.UNKNOWN
+    z, s = zones(pair.d), pair.s
+    return _tri(s <= z.alpha_yes_max or s >= z.alpha_yes_min,
+                s >= z.alpha_no_min)
 
 
 def ext1_nonzero(pair: BlowupPair) -> TriState:
@@ -134,30 +140,13 @@ def ext1_nonzero(pair: BlowupPair) -> TriState:
     This mirrors alpha_surjective with the verdicts flipped, since the
     relevant Ext group is the cokernel of the multiplication map.
     """
-    d, s = pair.d, pair.s
-    if d == 2:
-        return TriState.YES if s >= 2 else TriState.NO
-    if d == 3:
-        return TriState.YES if s >= 5 else TriState.NO
-    if d == 4:
-        return TriState.YES if s >= 8 else TriState.NO
-    low_no = _half(d * d) - _half(d) + 1
-    yes_from = _half(d * d) - _half(1)
-    if s <= low_no:
-        return TriState.NO
-    if s > yes_from:
-        return TriState.YES
-    return TriState.UNKNOWN
+    z, s = zones(pair.d), pair.s
+    return _tri(s >= z.alpha_no_min, s <= z.alpha_yes_max)
 
 
 def degree2_zone(pair: BlowupPair) -> bool:
     """Inside the zone where the cover is rigidly of degree 2."""
-    d, s = pair.d, pair.s
-    if d == 2:
-        return s == 1
-    if 3 <= d <= 6:
-        return s <= _half(d * d) - _half(d) + 1
-    return s <= Fraction(2 * d * d + 13 * d + 21, 10)
+    return pair.s <= zones(pair.d).rigid_max
 
 
 def deformation_class(pair: BlowupPair) -> DeformationClass:
@@ -225,6 +214,6 @@ def zone_rule(pair: BlowupPair) -> str:
         return "no smooth cover"
     if d == 2:
         return "d=2 rigid cover (s=1)"
-    if 3 <= d <= 6:
-        return f"rigid cover zone s <= (d^2-d+2)/2 = {(d * d - d + 2) // 2}"
+    if d <= 6:
+        return f"rigid cover zone s <= (d^2-d+2)/2 = {zones(d).rigid_max}"
     return f"rigid cover zone s <= (2d^2+13d+21)/10 = {Fraction(2 * d * d + 13 * d + 21, 10)}"

@@ -7,9 +7,9 @@ data.  Output goes to stdout in one of three formats; diagnostics go to
 stderr.  Identical invocations produce byte-identical stdout.
 
 Exit codes: 0 success, 2 bad input (an oracle system over the matrix
-size cap included), 3 oracle measurement disagreeing with a closed-form
-prediction (rerun with another seed; persistent mismatch means a bug on
-one side or the other).
+size or elimination work cap included), 3 oracle measurement
+disagreeing with a closed-form prediction (rerun with another seed;
+persistent mismatch means a bug on one side or the other).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import atlas, fatpoints, invariants
-from .classify import BlowupPair, DeformationClass, TriState, classify, smooth_cover_exists, zone_rule
+from .classify import BlowupPair, DeformationClass, TriState, classify, smooth_cover_exists, zone_rule, zones
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -354,11 +354,8 @@ def cmd_geography(args, config: RunConfig) -> int:
              "s": None, "chi": None, "c1sq": None, "deformation": None}
             for line in atlas.geography_lines(args.d_range)]
     for d in args.d_range:
-        s = 1
-        while True:
+        for s in range(1, zones(d).cover_yes_max + 1):
             pair = BlowupPair(d, s)
-            if smooth_cover_exists(pair) is not TriState.YES:
-                break
             inv = invariants.cover_invariants(pair)
             rows.append({
                 "kind": "point", "d": d, "intercept": None,
@@ -366,7 +363,6 @@ def cmd_geography(args, config: RunConfig) -> int:
                 "s": s, "chi": inv.chi, "c1sq": inv.c1sq,
                 "deformation": classify(pair).deformation.value,
             })
-            s += 1
     emit(rows, GEOGRAPHY_COLUMNS, config)
     return EXIT_OK
 
@@ -465,36 +461,6 @@ def _resolve_config(parser: argparse.ArgumentParser, args) -> RunConfig:
                      output_format=args.output_format)
 
 
-def _validate(parser: argparse.ArgumentParser, args) -> None:
-    if args.command == "classify":
-        if args.d < 2 or args.s < 1:
-            parser.error("need d >= 2 and s >= 1")
-    elif args.command == "table":
-        if args.d_range.start < 2 or args.s_range.start < 1:
-            parser.error("need d >= 2 and s >= 1")
-    elif args.command == "oracle":
-        if args.s < 1:
-            parser.error("need s >= 1")
-        if args.which == "alpha":
-            if args.d is None:
-                parser.error("oracle alpha needs --d")
-            if args.d < 2:
-                parser.error("need d >= 2")
-        else:
-            if args.k is None or args.r is None:
-                parser.error(f"oracle {args.which} needs --k and --r")
-            if args.k < 0 or args.r < 1:
-                parser.error("need k >= 0 and r >= 1")
-    elif args.command == "xi":
-        if args.m < 4:
-            parser.error("need m >= 4")
-        if args.dmax < 2:
-            parser.error("need dmax >= 2")
-    elif args.command == "geography":
-        if args.d_range.start < 2:
-            parser.error("need d >= 2")
-
-
 COMMANDS = {
     "classify": cmd_classify,
     "table": cmd_table,
@@ -507,11 +473,20 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _validate(parser, args)
+    # Ranges are checked where the values are used (BlowupPair,
+    # FatPointSystem, alpha_rank, atlas); only a missing option is an
+    # argument error here.
+    if args.command == "oracle":
+        if args.which == "alpha" and args.d is None:
+            parser.error("oracle alpha needs --d")
+        if args.which != "alpha" and (args.k is None or args.r is None):
+            parser.error(f"oracle {args.which} needs --k and --r")
     config = _resolve_config(parser, args)
     try:
         return COMMANDS[args.command](args, config)
-    except fatpoints.OracleLimitError as exc:
+    except ValueError as exc:
+        # every command builds its rows before emitting, so nothing has
+        # reached stdout yet
         parser.error(str(exc))
 
 

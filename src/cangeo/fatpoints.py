@@ -25,6 +25,9 @@ DEFAULT_TRIALS = 5
 MAX_PRIME = 3037000499
 # Cap on the entries of any matrix the oracle allocates (int64: 128 MiB).
 MAX_MATRIX_ENTRIES = 2 ** 24
+# Cap on rows * cols * min(rows, cols), the order of the multiply-adds one
+# elimination may need: a square matrix of about 1600 rows.
+MAX_ELIMINATION_WORK = 2 ** 32
 
 
 class OracleLimitError(ValueError):
@@ -43,6 +46,13 @@ def _check_size(rows: int, cols: int) -> None:
                                f"cap of {MAX_MATRIX_ENTRIES} entries")
 
 
+def _check_work(rows: int, cols: int) -> None:
+    if rows * cols * min(rows, cols) > MAX_ELIMINATION_WORK:
+        raise OracleLimitError(f"eliminating a {rows}x{cols} matrix exceeds "
+                               "the oracle's cap of "
+                               f"{MAX_ELIMINATION_WORK} rows*cols*min(rows, cols)")
+
+
 def _echelon(matrix: np.ndarray, p: int, reduced: bool):
     """Row echelon form over Z/pZ; returns (A, pivot columns).
 
@@ -52,8 +62,10 @@ def _echelon(matrix: np.ndarray, p: int, reduced: bool):
     columns c onward.
     """
     _check_modulus(p)
-    A = np.asarray(matrix, dtype=np.int64) % p
+    A = np.asarray(matrix, dtype=np.int64)
     rows, cols = A.shape
+    _check_work(rows, cols)
+    A = A % p
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -237,6 +249,7 @@ def h0_fatpoints(system: FatPointSystem, trials: int = DEFAULT_TRIALS,
     if trials < 1:
         raise ValueError("need at least one trial")
     _check_size(system.conditions, system.ambient_dim)   # before the draw
+    _check_work(system.conditions, system.ambient_dim)
     best = None
     for t in range(trials):
         cfg = PointConfiguration.random(system.point_count, seed, p, trial=t)
@@ -250,12 +263,6 @@ def h1_fatpoints(system: FatPointSystem, trials: int = DEFAULT_TRIALS,
     """First cohomology dimension, h0 minus the Euler characteristic."""
     h0 = h0_fatpoints(system, trials, seed, p)
     return h0 - (system.ambient_dim - system.conditions)
-
-
-def speciality_defect(system: FatPointSystem, trials: int = DEFAULT_TRIALS,
-                      seed: int = DEFAULT_SEED, p: int = DEFAULT_PRIME) -> int:
-    """Measured h0 minus the naive count; zero means non-special."""
-    return h0_fatpoints(system, trials, seed, p) - system.expected_h0
 
 
 def alpha_rank(d: int, s: int, trials: int = DEFAULT_TRIALS,
@@ -285,8 +292,9 @@ def alpha_rank(d: int, s: int, trials: int = DEFAULT_TRIALS,
     n_high = sys_high.ambient_dim
     # Before anything is built: the larger vanishing matrix, and the product
     # matrix, which has at least 3 * expected_h0 of the lower system rows.
-    _check_size(s, n_high)
-    _check_size(3 * sys_low.expected_h0, n_high)
+    for rows in (s, 3 * sys_low.expected_h0):
+        _check_size(rows, n_high)
+        _check_work(rows, n_high)
     low = monomial_basis(d - 1)
     high_index = {mon: t for t, mon in enumerate(monomial_basis(d))}
     shifts = ((1, 0, 0), (0, 1, 0), (0, 0, 1))

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from fractions import Fraction
+from math import ceil, floor
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,9 +20,186 @@ from cangeo.classify import (
     smooth_cover_exists,
     very_ample,
     zone_rule,
+    zones,
 )
 
 Y, N, U = TriState.YES, TriState.NO, TriState.UNKNOWN
+
+
+# ---------------------------------------------------------------------------
+# independent reference: the zone bounds as exact rationals, one function
+# per verdict, with the d = 2, 3, 4 cases spelled out
+# ---------------------------------------------------------------------------
+
+def _half(n: int) -> Fraction:
+    return Fraction(n, 2)
+
+
+def _ref_very_ample(pair: BlowupPair) -> TriState:
+    d, s = pair.d, pair.s
+    if d == 2:
+        ok = s == 1
+    elif d == 3:
+        ok = s <= 6
+    elif d == 4:
+        ok = s <= 10
+    else:
+        ok = s <= _half(d * d) + Fraction(3, 2) * d - 5
+    return TriState.YES if ok else TriState.NO
+
+
+def _ref_smooth_cover_exists(pair: BlowupPair) -> TriState:
+    d, s = pair.d, pair.s
+    if d == 2:
+        return TriState.YES if s == 1 else TriState.NO
+    if d == 3:
+        return TriState.YES if s <= 6 else TriState.NO
+    if d == 4:
+        return TriState.YES if s <= 10 else TriState.NO
+    necessary = Fraction(d * d, 5) + Fraction(3, 2) * d + Fraction(14, 5)
+    if d == 5:
+        if s <= 14:
+            return TriState.YES
+        return TriState.NO if s >= necessary else TriState.UNKNOWN
+    sufficient = Fraction(d * d, 5) + Fraction(13, 10) * d + Fraction(21, 10)
+    if s <= sufficient:
+        return TriState.YES
+    if s >= necessary:
+        return TriState.NO
+    return TriState.UNKNOWN
+
+
+def _ref_alpha_surjective(pair: BlowupPair) -> TriState:
+    d, s = pair.d, pair.s
+    if d == 2:
+        return TriState.YES if (s == 1 or s >= 6) else TriState.NO
+    if d == 3:
+        return TriState.YES if (s <= 4 or s >= 10) else TriState.NO
+    if d == 4:
+        return TriState.YES if (s <= 7 or s >= 15) else TriState.NO
+    low_yes = _half(d * d) - _half(d) + 1     # integer for every d
+    no_from = _half(d * d) - _half(1)         # half-integer for even d
+    no_to = _half(d * d) + Fraction(3, 2) * d + 1
+    if s <= low_yes or s >= no_to:
+        return TriState.YES
+    if no_from < s < no_to:
+        return TriState.NO
+    return TriState.UNKNOWN
+
+
+def _ref_ext1_nonzero(pair: BlowupPair) -> TriState:
+    d, s = pair.d, pair.s
+    if d == 2:
+        return TriState.YES if s >= 2 else TriState.NO
+    if d == 3:
+        return TriState.YES if s >= 5 else TriState.NO
+    if d == 4:
+        return TriState.YES if s >= 8 else TriState.NO
+    low_no = _half(d * d) - _half(d) + 1
+    yes_from = _half(d * d) - _half(1)
+    if s <= low_no:
+        return TriState.NO
+    if s > yes_from:
+        return TriState.YES
+    return TriState.UNKNOWN
+
+
+def _ref_degree2_zone(pair: BlowupPair) -> bool:
+    d, s = pair.d, pair.s
+    if d == 2:
+        return s == 1
+    if 3 <= d <= 6:
+        return s <= _half(d * d) - _half(d) + 1
+    return s <= Fraction(2 * d * d + 13 * d + 21, 10)
+
+
+def _ref_deformation_class(pair: BlowupPair) -> DeformationClass:
+    if _ref_smooth_cover_exists(pair) is not TriState.YES:
+        return DeformationClass.NOT_APPLICABLE
+    key = (pair.d, pair.s)
+    if key in DEGREE1_PAIRS:
+        return DeformationClass.DEGREE1
+    if key in OPEN_PAIRS:
+        return DeformationClass.OPEN_QUESTION
+    if _ref_degree2_zone(pair):
+        return DeformationClass.DEGREE2_ALWAYS
+    raise AssertionError(
+        f"pair {key} has a smooth cover but no deformation class; "
+        "this is a bug in the zone arithmetic")
+
+
+def _ref_zone_rule(pair: BlowupPair) -> str:
+    d = pair.d
+    cls = _ref_deformation_class(pair)
+    if cls is DeformationClass.DEGREE1:
+        return "listed degree-1 pair"
+    if cls is DeformationClass.OPEN_QUESTION:
+        return "open case"
+    if cls is DeformationClass.NOT_APPLICABLE:
+        if _ref_smooth_cover_exists(pair) is TriState.UNKNOWN:
+            return "smooth cover existence open"
+        if _ref_very_ample(pair) is TriState.NO:
+            return "not very ample"
+        return "no smooth cover"
+    if d == 2:
+        return "d=2 rigid cover (s=1)"
+    if 3 <= d <= 6:
+        return f"rigid cover zone s <= (d^2-d+2)/2 = {(d * d - d + 2) // 2}"
+    return f"rigid cover zone s <= (2d^2+13d+21)/10 = {Fraction(2 * d * d + 13 * d + 21, 10)}"
+
+
+_CHECKED = [
+    (very_ample, _ref_very_ample),
+    (smooth_cover_exists, _ref_smooth_cover_exists),
+    (alpha_surjective, _ref_alpha_surjective),
+    (ext1_nonzero, _ref_ext1_nonzero),
+    (deformation_class, _ref_deformation_class),
+    (zone_rule, _ref_zone_rule),
+]
+
+
+def _assert_matches_reference(d: int, s: int) -> None:
+    pair = BlowupPair(d, s)
+    for fn, ref in _CHECKED:
+        assert fn(pair) == ref(pair), (fn.__name__, d, s)
+
+
+def _ref_bounds(d: int) -> list[Fraction]:
+    """Every rational bound the reference compares s against, for d >= 5."""
+    return [
+        _half(d * d) + Fraction(3, 2) * d - 5,
+        Fraction(d * d, 5) + Fraction(3, 2) * d + Fraction(14, 5),
+        Fraction(d * d, 5) + Fraction(13, 10) * d + Fraction(21, 10),
+        _half(d * d) - _half(d) + 1,
+        _half(d * d) - _half(1),
+        _half(d * d) + Fraction(3, 2) * d + 1,
+        Fraction(2 * d * d + 13 * d + 21, 10),
+    ]
+
+
+def test_zones_match_the_rational_reference_on_every_pair_to_d40():
+    for d in range(2, 41):
+        for s in range(1, 2 * d * d + 11):
+            _assert_matches_reference(d, s)
+
+
+def test_zones_match_the_rational_reference_at_every_bound_to_d200():
+    for d in range(41, 201):
+        around = {1}
+        for t in _ref_bounds(d):
+            around.update(range(floor(t) - 1, ceil(t) + 2))
+        for s in sorted(around):
+            _assert_matches_reference(d, s)
+
+
+def test_geography_range_equals_the_probe():
+    # cli.cmd_geography emits s = 1..cover_yes_max; the old code probed s
+    # upwards until the smooth cover verdict stopped being yes
+    for d in range(2, 201):
+        s = 1
+        while _ref_smooth_cover_exists(BlowupPair(d, s)) is TriState.YES:
+            s += 1
+        assert zones(d).cover_yes_max == s - 1, d
 
 
 def test_pair_validation():

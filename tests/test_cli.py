@@ -163,6 +163,27 @@ def test_oracle_missing_params_exit_2():
     assert run_cli("oracle", "alpha", "--s", "5").returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "1", "1"),
+    ("classify", "3", "0"),
+    ("table", "--d", "1..3", "--s", "1..2"),
+    ("table", "--d", "2..3", "--s", "0..2"),
+    ("oracle", "h0", "--k", "4", "--r", "0", "--s", "2"),
+    ("oracle", "h0", "--k", "-1", "--r", "1", "--s", "2"),
+    ("oracle", "h1", "--k", "4", "--r", "1", "--s", "0"),
+    ("oracle", "alpha", "--d", "1", "--s", "2"),
+    ("oracle", "alpha", "--d", "3", "--s", "0"),
+    ("xi", "--m", "3", "--dmax", "10"),
+    ("xi", "--m", "4", "--dmax", "1"),
+    ("geography", "--d", "1..3"),
+], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
+def test_out_of_range_input_exits_2_with_empty_stdout(argv):
+    proc = run_cli(*argv, "--format", "csv")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"error" in proc.stderr
+
+
 # --- xi and geography -----------------------------------------------------
 
 def test_xi_m4_points():
@@ -270,6 +291,14 @@ def test_oversized_oracle_system_exits_2():
         with pytest.raises(SystemExit) as exc:
             cli.main(list(argv))
         assert exc.value.code == 2
+
+
+def test_elimination_work_over_the_cap_exits_2():
+    # 4000 x 4095 passes the entry cap; eliminating it would take minutes
+    proc = run_cli("oracle", "h0", "--k", "89", "--r", "1", "--s", "4000",
+                   timeout=30)
+    assert proc.returncode == 2
+    assert b"cap" in proc.stderr
 
 
 def test_trials_validation():

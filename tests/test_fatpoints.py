@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from cangeo.fatpoints import (
     DEFAULT_PRIME,
+    MAX_ELIMINATION_WORK,
     MAX_MATRIX_ENTRIES,
     MAX_PRIME,
     FatPointSystem,
@@ -27,7 +28,6 @@ from cangeo.fatpoints import (
     monomial_basis,
     rank_mod_p,
     rref_mod_p,
-    speciality_defect,
     vanishing_matrix,
 )
 
@@ -108,13 +108,13 @@ def test_special_system_double_conic():
     assert system.expected_h0 == 0
     assert h0_fatpoints(system) == 1
     assert h1_fatpoints(system) == 1
-    assert speciality_defect(system) == 1
+    assert h0_fatpoints(system) - system.expected_h0 == 1
 
 
 def test_special_system_double_line():
     system = FatPointSystem(2, 2, 2)
     assert h0_fatpoints(system) == 1
-    assert speciality_defect(system) == 1
+    assert h0_fatpoints(system) - system.expected_h0 == 1
 
 
 def test_vanishing_matrix_matches_rational_rows():
@@ -219,6 +219,24 @@ def test_matrix_size_cap():
         kernel_basis_mod_p(np.zeros((1, 5000), dtype=np.int64))
     widest = FatPointSystem(40, 5, 30)   # the largest system in tests and bench
     assert widest.conditions * widest.ambient_dim < MAX_MATRIX_ENTRIES
+
+
+def test_elimination_work_cap():
+    # 4000 x 4095 is under the entry cap but would take minutes to eliminate
+    system = FatPointSystem(89, 1, 4000)
+    assert system.conditions * system.ambient_dim <= MAX_MATRIX_ENTRIES
+    with pytest.raises(ValueError, match="cap"):
+        h0_fatpoints(system)
+    # alpha_rank's high vanishing matrix: 2000 x 1891
+    with pytest.raises(ValueError, match="cap"):
+        alpha_rank(60, 2000)
+    with pytest.raises(ValueError, match="cap"):
+        rank_mod_p(np.zeros((1700, 1700), dtype=np.int64))
+    with pytest.raises(ValueError, match="cap"):
+        rref_mod_p(np.zeros((1700, 1700), dtype=np.int64))
+    widest = FatPointSystem(40, 5, 30)
+    rows, cols = widest.conditions, widest.ambient_dim
+    assert rows * cols * min(rows, cols) < MAX_ELIMINATION_WORK
 
 
 # ---------------------------------------------------------------------------
