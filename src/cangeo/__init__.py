@@ -47,7 +47,6 @@ from .fatpoints import (
     PointConfiguration,
     alpha_rank,
     h0_fatpoints,
-    h1_fatpoints,
     monomial_basis,
     vanishing_matrix,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "geography_lines",
     "h0_fatpoints",
     "h0_normal_of_cover",
-    "h1_fatpoints",
     "line_for_m",
     "moduli_dim_degree2",
     "moduli_dims_degree1",

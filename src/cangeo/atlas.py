@@ -7,16 +7,17 @@ Such a pair forces the corresponding moduli space to contain at least two
 components with different canonical behavior.  This module enumerates
 those pairs line by line, with an explicit scroll witness attached to
 every emitted point, and also produces the line-and-interval data that
-locates all the covers in the (chi, c1^2) plane.
+locates all the covers in the (chi, c1^2) plane.  That interval is read
+off the cover layer (`zones(d)`, `deformation_class`, `cover_invariants`),
+so this module states no zone boundary of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, isqrt
 
-from .classify import BlowupPair, DeformationClass, deformation_class
+from .classify import BlowupPair, DeformationClass, deformation_class, zones
 from .invariants import cover_invariants
 from .scrolls import DivisorClass, ScrollSpec, on_line, scroll_admissible, scroll_surface_invariants
 
@@ -185,7 +186,8 @@ class GeographyLine:
 
     The line is y = 2*x + intercept with intercept = d^2 - 3*d - 4; the
     integer points with x_min <= x <= x_max are the (chi, c1sq) pairs of
-    actual covers.
+    the covers whose deformation class is settled (degree 1 or rigidly
+    degree 2).
     """
 
     d: int
@@ -194,47 +196,25 @@ class GeographyLine:
     x_max: int
 
 
-# Realized chi intervals for small d, where the degree-1 pairs extend the
-# rigid zone downwards.
-SMALL_D_INTERVALS = {2: (6, 6), 3: (5, 10), 4: (6, 15), 5: (8, 21), 6: (13, 28)}
-
-# Coefficient tuples (A, B, C, D, E) for A*x^2 + B*x*y + C*y^2 + D*x + E*y = 0.
-# Together these two conic arcs cut out, on each line for d >= 7, exactly
-# the realized chi interval: the first passes through the s = 1 endpoints,
-# the second through the maximal-s endpoints.
-UPPER_ENDPOINT_CONIC = (16, -8, 1, -48, -6)
-LOWER_ENDPOINT_CONIC = (256, -96, 9, -638, 44)
-
-
-def _line_conic_roots(conic, intercept: int) -> tuple[Fraction, Fraction]:
-    """Both x values where the conic meets y = 2*x + intercept, exactly."""
-    A, B, C, D, E = conic
-    c0 = intercept
-    # substitute y = 2x + c0 and collect the quadratic in x
-    qa = A + 2 * B + 4 * C
-    qb = B * c0 + 4 * C * c0 + D + 2 * E
-    qc = C * c0 * c0 + E * c0
-    disc = qb * qb - 4 * qa * qc
-    root = isqrt(disc)
-    if root * root != disc:
-        raise AssertionError(f"discriminant {disc} is not a perfect square")
-    return (Fraction(-qb - root, 2 * qa), Fraction(-qb + root, 2 * qa))
+# The deformation classes that are settled: the realized interval runs over
+# the covers carrying one of them.
+_SETTLED = (DeformationClass.DEGREE1, DeformationClass.DEGREE2_ALWAYS)
 
 
 def geography_lines(d_values) -> list[GeographyLine]:
-    """Line and realized interval for each requested d, sorted by d."""
+    """Line and realized interval for each requested d, sorted by d.
+
+    chi falls as s grows, so x_max is chi at s = 1 and x_min is chi at the
+    largest s <= zones(d).cover_yes_max whose class is settled.
+    """
     out = []
     for d in sorted(set(int(d) for d in d_values)):
         if d < 2:
             raise ValueError("d must be at least 2")
-        intercept = d * d - 3 * d - 4
-        if d in SMALL_D_INTERVALS:
-            x_min, x_max = SMALL_D_INTERVALS[d]
-        else:
-            hi = max(_line_conic_roots(UPPER_ENDPOINT_CONIC, intercept))
-            lo = max(_line_conic_roots(LOWER_ENDPOINT_CONIC, intercept))
-            if hi.denominator != 1:
-                raise AssertionError(f"upper endpoint not integral for d={d}")
-            x_min, x_max = ceil(lo), int(hi)
-        out.append(GeographyLine(d=d, intercept=intercept, x_min=x_min, x_max=x_max))
+        s_last = next(s for s in range(zones(d).cover_yes_max, 0, -1)
+                      if deformation_class(BlowupPair(d, s)) in _SETTLED)
+        out.append(GeographyLine(
+            d=d, intercept=d * d - 3 * d - 4,
+            x_min=cover_invariants(BlowupPair(d, s_last)).chi,
+            x_max=cover_invariants(BlowupPair(d, 1)).chi))
     return out

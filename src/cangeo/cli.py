@@ -20,10 +20,10 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
 from . import atlas, fatpoints, invariants
-from .classify import BlowupPair, DeformationClass, TriState, classify, smooth_cover_exists, zone_rule, zones
+from .classify import (BlowupPair, DeformationClass, TriState, alpha_surjective, classify,
+                       smooth_cover_exists, zone_rule, zones)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -33,7 +33,6 @@ MIN_PRIME = 10 ** 6
 
 # Fat-point values pinned by independent sources, keyed by (k, r, s).
 CURATED_H0 = {(12, 3, 14): 7, (16, 4, 14): 13}
-CURATED_H1 = {(12, 3, 14): 0, (16, 4, 14): 0}
 
 CLASSIFY_COLUMNS = [
     "d", "s", "very_ample", "smooth_cover", "alpha_surjective",
@@ -115,21 +114,9 @@ def _span(text: str) -> range:
 def _plain(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
-
-
-def _json_ready(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {k: _json_ready(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_json_ready(v) for v in value]
-    return value
 
 
 def _flatten(record: dict) -> dict:
@@ -148,8 +135,9 @@ def emit(records: list[dict], columns: list[str], config: RunConfig,
     out = sys.stdout if out is None else out
     fmt = config.output_format
     if fmt == "json":
-        payload = _json_ready(records[0] if single else records)
-        out.write(json.dumps(payload, indent=2, sort_keys=True))
+        # default=str writes a Fraction as "1/9"
+        payload = records[0] if single else records
+        out.write(json.dumps(payload, indent=2, sort_keys=True, default=str))
         out.write("\n")
         return
     flat = [_flatten(r) for r in records]
@@ -179,6 +167,31 @@ def emit(records: list[dict], columns: list[str], config: RunConfig,
 # record builders
 # ---------------------------------------------------------------------------
 
+def _flag(expected, measured) -> str | None:
+    """MATCH or MISMATCH of a measurement against its prediction; None
+    where there is no prediction."""
+    if expected is None:
+        return None
+    return "MATCH" if measured == expected else "MISMATCH"
+
+
+def _alpha_measurement(d: int, s: int, config: RunConfig) -> dict:
+    """Multiplication-map rank at (d, s), flagged against the zone verdict;
+    the keys are the measurement fields of an `oracle alpha` row."""
+    rank, dim_source, dim_target = fatpoints.alpha_rank(
+        d, s, trials=config.trials, seed=config.seed, p=config.prime)
+    surjective = rank == dim_target
+    formula = alpha_surjective(BlowupPair(d, s))
+    expected = None if formula is TriState.UNKNOWN else formula is TriState.YES
+    return {
+        "rank": rank, "dim_source": dim_source, "dim_target": dim_target,
+        "coker": dim_target - rank,
+        "surjective_measured": "yes" if surjective else "no",
+        "surjective_formula": formula.value,
+        "flag": _flag(expected, surjective),
+    }
+
+
 def classification_record(pair: BlowupPair, config: RunConfig,
                           with_oracle: bool) -> tuple[dict, bool]:
     """Full row for one pair; second value reports an oracle mismatch."""
@@ -206,22 +219,12 @@ def classification_record(pair: BlowupPair, config: RunConfig,
         row.update(mu=invariants.moduli_dim_degree2(pair), mu2=None, codim=None)
     else:
         row.update(mu=None, mu2=None, codim=None)
-    mismatch = False
     if with_oracle:
-        rank, dim_source, dim_target = fatpoints.alpha_rank(
-            pair.d, pair.s, trials=config.trials, seed=config.seed,
-            p=config.prime)
-        row.update(alpha_rank=rank, alpha_dim_source=dim_source,
-                   alpha_dim_target=dim_target,
-                   alpha_coker=dim_target - rank)
-        verdict = rec.alpha_surjective
-        if verdict is TriState.UNKNOWN:
-            row["oracle_flag"] = None
-        else:
-            agreed = (rank == dim_target) == (verdict is TriState.YES)
-            row["oracle_flag"] = "MATCH" if agreed else "MISMATCH"
-            mismatch = not agreed
-    return row, mismatch
+        alpha = _alpha_measurement(pair.d, pair.s, config)
+        row.update({f"alpha_{key}": alpha[key]
+                    for key in ("rank", "dim_source", "dim_target", "coker")})
+        row["oracle_flag"] = alpha["flag"]
+    return row, row.get("oracle_flag") == "MISMATCH"
 
 
 def expected_h0(k: int, r: int, s: int) -> int | None:
@@ -238,30 +241,21 @@ def expected_h0(k: int, r: int, s: int) -> int | None:
     return None
 
 
-def expected_h1(k: int, r: int, s: int) -> int | None:
-    if (k, r, s) in CURATED_H1:
-        return CURATED_H1[(k, r, s)]
-    if r == 1:
-        return max(s - fatpoints.FatPointSystem(k, 1, s).ambient_dim, 0)
-    if r == 4 and expected_h0(k, r, s) is not None:
-        return 0
-    return None
-
-
 def measurement_record(which: str, k: int, r: int, s: int,
                        config: RunConfig) -> tuple[dict, bool]:
+    """One h0 measurement; h1 is the same row shifted by the Euler
+    characteristic chi = ambient_dim - conditions, since h1 = h0 - chi."""
     system = fatpoints.FatPointSystem(k, r, s)
-    kwargs = dict(trials=config.trials, seed=config.seed, p=config.prime)
-    if which == "h0":
-        measured = fatpoints.h0_fatpoints(system, **kwargs)
-        expected = expected_h0(k, r, s)
-        virtual = system.expected_h0
-    else:
-        measured = fatpoints.h1_fatpoints(system, **kwargs)
-        expected = expected_h1(k, r, s)
-        virtual = max(system.conditions - system.ambient_dim, 0)
-    flag = None if expected is None else (
-        "MATCH" if measured == expected else "MISMATCH")
+    measured = fatpoints.h0_fatpoints(
+        system, trials=config.trials, seed=config.seed, p=config.prime)
+    expected = expected_h0(k, r, s)
+    virtual = system.expected_h0
+    if which == "h1":
+        chi = system.ambient_dim - system.conditions
+        measured -= chi
+        expected = None if expected is None else expected - chi
+        virtual -= chi   # max(chi, 0) - chi = max(-chi, 0)
+    flag = _flag(expected, measured)
     row = {
         "k": k, "r": r, "s": s,
         "seed": config.seed, "trials": config.trials, "prime": config.prime,
@@ -272,24 +266,12 @@ def measurement_record(which: str, k: int, r: int, s: int,
 
 
 def alpha_record(d: int, s: int, config: RunConfig) -> tuple[dict, bool]:
-    rank, dim_source, dim_target = fatpoints.alpha_rank(
-        d, s, trials=config.trials, seed=config.seed, p=config.prime)
-    measured = rank == dim_target
-    formula = classify(BlowupPair(d, s)).alpha_surjective
-    if formula is TriState.UNKNOWN:
-        flag = None
-    else:
-        flag = "MATCH" if measured == (formula is TriState.YES) else "MISMATCH"
     row = {
         "d": d, "s": s,
         "seed": config.seed, "trials": config.trials, "prime": config.prime,
-        "rank": rank, "dim_source": dim_source, "dim_target": dim_target,
-        "coker": dim_target - rank,
-        "surjective_measured": "yes" if measured else "no",
-        "surjective_formula": formula.value,
-        "flag": flag,
+        **_alpha_measurement(d, s, config),
     }
-    return row, flag == "MISMATCH"
+    return row, row["flag"] == "MISMATCH"
 
 
 # ---------------------------------------------------------------------------

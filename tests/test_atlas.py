@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil, isqrt
 
 import pytest
 
@@ -147,7 +148,45 @@ def test_enumeration_validation():
 
 # --- geography ------------------------------------------------------------
 
+# Independent reference for the realized intervals: a literal table for
+# small d, where the degree-1 pairs extend the rigid zone downwards, and two
+# conics A*x^2 + B*x*y + C*y^2 + D*x + E*y = 0 whose arcs cut out, on each
+# line for d >= 7, the s = 1 endpoint (upper) and the maximal-s endpoint
+# (lower).
 INTERVALS = {2: (6, 6), 3: (5, 10), 4: (6, 15), 5: (8, 21), 6: (13, 28)}
+UPPER_ENDPOINT_CONIC = (16, -8, 1, -48, -6)
+LOWER_ENDPOINT_CONIC = (256, -96, 9, -638, 44)
+
+
+def _line_conic_roots(conic, intercept):
+    """Both x values where the conic meets y = 2*x + intercept, exactly."""
+    A, B, C, D, E = conic
+    c0 = intercept
+    # substitute y = 2x + c0 and collect the quadratic in x
+    qa = A + 2 * B + 4 * C
+    qb = B * c0 + 4 * C * c0 + D + 2 * E
+    qc = C * c0 * c0 + E * c0
+    disc = qb * qb - 4 * qa * qc
+    root = isqrt(disc)
+    assert root * root == disc, f"discriminant {disc} is not a perfect square"
+    return (Fraction(-qb - root, 2 * qa), Fraction(-qb + root, 2 * qa))
+
+
+def _reference_interval(d):
+    if d in INTERVALS:
+        return INTERVALS[d]
+    intercept = d * d - 3 * d - 4
+    hi = max(_line_conic_roots(UPPER_ENDPOINT_CONIC, intercept))
+    lo = max(_line_conic_roots(LOWER_ENDPOINT_CONIC, intercept))
+    assert hi.denominator == 1, d
+    return ceil(lo), int(hi)
+
+
+def test_geography_endpoints_match_the_conic_reference():
+    lines = geography_lines(range(2, 3001))
+    assert [line.d for line in lines] == list(range(2, 3001))
+    for line in lines:
+        assert (line.x_min, line.x_max) == _reference_interval(line.d), line.d
 
 
 def test_geography_small_d_intervals():

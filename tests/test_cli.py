@@ -140,6 +140,37 @@ def test_oracle_h1_without_prediction(capsys):
     assert rec["expected"] is None and rec["flag"] is None
 
 
+# (k, r, s) -> (measured, virtual, defect, expected, flag) of `oracle h1`,
+# recorded from the implementation that measured h1 on its own: the curated
+# systems, the multiplicity-4 cover family, systems without a prediction and
+# simple points on both sides of ambient_dim = 28.
+H1_ROWS = {
+    (12, 3, 14): (0, 0, 0, 0, "MATCH"),
+    (16, 4, 14): (0, 0, 0, 0, "MATCH"),
+    (22, 4, 25): (0, 0, 0, 0, "MATCH"),
+    (4, 2, 5): (1, 0, 1, None, None),
+    (11, 4, 5): (0, 0, 0, None, None),
+    (10, 4, 8): (14, 14, 0, None, None),
+    (6, 1, 20): (0, 0, 0, 0, "MATCH"),
+    (6, 1, 28): (0, 0, 0, 0, "MATCH"),
+    (6, 1, 35): (7, 7, 0, 7, "MATCH"),
+}
+
+
+@pytest.mark.parametrize("krs", list(H1_ROWS), ids=str)
+def test_oracle_h1_rows(capsys, krs):
+    k, r, s = krs
+    code, out, _ = run_main(capsys, "oracle", "h1", "--k", str(k), "--r",
+                            str(r), "--s", str(s), "--format", "json")
+    assert code == 0
+    measured, virtual, defect, expected, flag = H1_ROWS[krs]
+    assert json.loads(out) == {
+        "k": k, "r": r, "s": s, "seed": 12648430, "trials": 5,
+        "prime": 2147483647, "measured": measured, "virtual": virtual,
+        "defect": defect, "expected": expected, "flag": flag,
+    }
+
+
 def test_oracle_special_system_reports_defect(capsys):
     code, out, _ = run_main(capsys, "oracle", "h0", "--k", "2", "--r", "2",
                             "--s", "2", "--format", "json")

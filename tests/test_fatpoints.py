@@ -23,7 +23,6 @@ from cangeo.fatpoints import (
     PointConfiguration,
     alpha_rank,
     h0_fatpoints,
-    h1_fatpoints,
     kernel_basis_mod_p,
     monomial_basis,
     rank_mod_p,
@@ -106,9 +105,10 @@ def test_special_system_double_conic():
     # conic through the five points says one section
     system = FatPointSystem(4, 2, 5)
     assert system.expected_h0 == 0
-    assert h0_fatpoints(system) == 1
-    assert h1_fatpoints(system) == 1
-    assert h0_fatpoints(system) - system.expected_h0 == 1
+    h0 = h0_fatpoints(system)
+    assert h0 == 1
+    assert h0 - (system.ambient_dim - system.conditions) == 1   # h1 = h0 - chi
+    assert h0 - system.expected_h0 == 1
 
 
 def test_special_system_double_line():
@@ -257,6 +257,37 @@ def test_h0_is_deterministic():
     cfg1 = PointConfiguration.random(6, seed=99, trial=2)
     cfg2 = PointConfiguration.random(6, seed=99, trial=2)
     assert cfg1.points == cfg2.points
+
+
+def _scalar_points(count, seed, p, trial):
+    """The per-coordinate draw the batched one must reproduce: one
+    integers() call for x, one for y, a repeated point drawn again."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
+    gen = np.random.Generator(np.random.PCG64(ss))
+    pts, seen = [], set()
+    while len(pts) < count:
+        x = int(gen.integers(0, p))
+        y = int(gen.integers(0, p))
+        if (x, y) in seen:
+            continue
+        seen.add((x, y))
+        pts.append((x, y))
+    return tuple(pts)
+
+
+def test_batched_draw_reproduces_the_scalar_stream():
+    # tiny moduli force collisions; count p*p draws every point of F_p^2
+    cases = 0
+    for p in (5, 7, 11, 1000003, 2 ** 31 - 1, MAX_PRIME):
+        counts = [c for c in (1, 2, 3, 8, 20, 25, 40, 49, 121) if c <= p * p]
+        for seed in (0, 1, 99, 0xC0FFEE, 2 ** 64 + 5):
+            for trial in range(3):
+                for count in counts:
+                    got = PointConfiguration.random(count, seed, p, trial=trial)
+                    assert got.points == _scalar_points(count, seed, p, trial), (
+                        p, seed, trial, count)
+                    cases += 1
+    assert cases == 750
 
 
 def test_point_configurations_differ_between_trials():
