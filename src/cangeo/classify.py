@@ -137,16 +137,13 @@ def alpha_surjective(pair: BlowupPair) -> TriState:
 def ext1_nonzero(pair: BlowupPair) -> TriState:
     """Are there nontrivial ribbon structures, i.e. is the Ext group nonzero?
 
-    This mirrors alpha_surjective with the verdicts flipped, since the
-    relevant Ext group is the cokernel of the multiplication map.
+    Where d*L - E is very ample (s <= zones(d).ample_max) this mirrors
+    alpha_surjective with the verdicts flipped, since the Ext group is
+    then the cokernel of the multiplication map.  Beyond that the two are
+    unrelated: from s = zones(d).alpha_yes_min on both read yes.
     """
     z, s = zones(pair.d), pair.s
     return _tri(s >= z.alpha_no_min, s <= z.alpha_yes_max)
-
-
-def degree2_zone(pair: BlowupPair) -> bool:
-    """Inside the zone where the cover is rigidly of degree 2."""
-    return pair.s <= zones(pair.d).rigid_max
 
 
 def deformation_class(pair: BlowupPair) -> DeformationClass:
@@ -162,7 +159,7 @@ def deformation_class(pair: BlowupPair) -> DeformationClass:
         return DeformationClass.DEGREE1
     if key in OPEN_PAIRS:
         return DeformationClass.OPEN_QUESTION
-    if degree2_zone(pair):
+    if pair.s <= zones(pair.d).rigid_max:   # rigidly of degree 2
         return DeformationClass.DEGREE2_ALWAYS
     raise AssertionError(
         f"pair {key} has a smooth cover but no deformation class; "

@@ -6,10 +6,11 @@ two-component enumeration, `geography` for plot-ready line and point
 data.  Output goes to stdout in one of three formats; diagnostics go to
 stderr.  Identical invocations produce byte-identical stdout.
 
-Exit codes: 0 success, 2 bad input (an oracle system over the matrix
-size or elimination work cap included), 3 oracle measurement
-disagreeing with a closed-form prediction (rerun with another seed;
-persistent mismatch means a bug on one side or the other).
+Exit codes: 0 success, 1 stdout closed by the reader, 2 bad input (an
+oracle system over the matrix size or elimination work cap included;
+stdout is then empty, as every row is built before any is written), 3
+oracle measurement disagreeing with a closed-form prediction (rerun with
+another seed; persistent mismatch means a bug on one side or the other).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .classify import (BlowupPair, DeformationClass, TriState, alpha_surjective,
                        smooth_cover_exists, zone_rule, zones)
 
 EXIT_OK = 0
+EXIT_CLOSED = 1
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 
@@ -39,7 +41,7 @@ CLASSIFY_COLUMNS = [
     "ext1_nonzero", "deformation", "rule",
     "p_g", "q", "chi", "c1sq", "c2", "slope", "mu", "mu2", "codim",
 ]
-ORACLE_EXTRA_COLUMNS = [
+CLASSIFY_ORACLE_COLUMNS = CLASSIFY_COLUMNS + [
     "alpha_rank", "alpha_dim_source", "alpha_dim_target", "alpha_coker",
     "oracle_flag",
 ]
@@ -60,7 +62,6 @@ class RunConfig:
     seed: int
     trials: int
     prime: int
-    output_format: str
 
 
 def _is_prime(n: int) -> bool:
@@ -130,10 +131,9 @@ def _flatten(record: dict) -> dict:
     return flat
 
 
-def emit(records: list[dict], columns: list[str], config: RunConfig,
-         out=None, single: bool = False) -> None:
-    out = sys.stdout if out is None else out
-    fmt = config.output_format
+def emit(records: list[dict], columns: list[str], fmt: str,
+         single: bool = False) -> None:
+    out = sys.stdout
     if fmt == "json":
         # default=str writes a Fraction as "1/9"
         payload = records[0] if single else records
@@ -193,8 +193,8 @@ def _alpha_measurement(d: int, s: int, config: RunConfig) -> dict:
 
 
 def classification_record(pair: BlowupPair, config: RunConfig,
-                          with_oracle: bool) -> tuple[dict, bool]:
-    """Full row for one pair; second value reports an oracle mismatch."""
+                          with_oracle: bool) -> dict:
+    """Full row for one pair."""
     rec = classify(pair)
     row = {
         "d": pair.d,
@@ -224,7 +224,7 @@ def classification_record(pair: BlowupPair, config: RunConfig,
         row.update({f"alpha_{key}": alpha[key]
                     for key in ("rank", "dim_source", "dim_target", "coker")})
         row["oracle_flag"] = alpha["flag"]
-    return row, row.get("oracle_flag") == "MISMATCH"
+    return row
 
 
 def expected_h0(k: int, r: int, s: int) -> int | None:
@@ -242,7 +242,7 @@ def expected_h0(k: int, r: int, s: int) -> int | None:
 
 
 def measurement_record(which: str, k: int, r: int, s: int,
-                       config: RunConfig) -> tuple[dict, bool]:
+                       config: RunConfig) -> dict:
     """One h0 measurement; h1 is the same row shifted by the Euler
     characteristic chi = ambient_dim - conditions, since h1 = h0 - chi."""
     system = fatpoints.FatPointSystem(k, r, s)
@@ -255,62 +255,51 @@ def measurement_record(which: str, k: int, r: int, s: int,
         measured -= chi
         expected = None if expected is None else expected - chi
         virtual -= chi   # max(chi, 0) - chi = max(-chi, 0)
-    flag = _flag(expected, measured)
-    row = {
+    return {
         "k": k, "r": r, "s": s,
         "seed": config.seed, "trials": config.trials, "prime": config.prime,
         "measured": measured, "virtual": virtual,
-        "defect": measured - virtual, "expected": expected, "flag": flag,
+        "defect": measured - virtual, "expected": expected,
+        "flag": _flag(expected, measured),
     }
-    return row, flag == "MISMATCH"
 
 
-def alpha_record(d: int, s: int, config: RunConfig) -> tuple[dict, bool]:
-    row = {
+def alpha_record(d: int, s: int, config: RunConfig) -> dict:
+    return {
         "d": d, "s": s,
         "seed": config.seed, "trials": config.trials, "prime": config.prime,
         **_alpha_measurement(d, s, config),
     }
-    return row, row["flag"] == "MISMATCH"
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (rows, columns) and writes nothing to stdout
 # ---------------------------------------------------------------------------
 
-def cmd_classify(args, config: RunConfig) -> int:
-    pair = BlowupPair(args.d, args.s)
-    row, mismatch = classification_record(pair, config, args.oracle)
-    columns = CLASSIFY_COLUMNS + (ORACLE_EXTRA_COLUMNS if args.oracle else [])
-    emit([row], columns, config, single=True)
-    return EXIT_MISMATCH if mismatch else EXIT_OK
+def _classification_rows(pairs, config: RunConfig,
+                         with_oracle: bool) -> tuple[list[dict], list[str]]:
+    rows = [classification_record(BlowupPair(d, s), config, with_oracle)
+            for d, s in pairs]
+    return rows, CLASSIFY_ORACLE_COLUMNS if with_oracle else CLASSIFY_COLUMNS
 
 
-def cmd_table(args, config: RunConfig) -> int:
-    rows, any_mismatch = [], False
-    for d in args.d_range:
-        for s in args.s_range:
-            row, mismatch = classification_record(
-                BlowupPair(d, s), config, args.oracle)
-            rows.append(row)
-            any_mismatch = any_mismatch or mismatch
-    columns = CLASSIFY_COLUMNS + (ORACLE_EXTRA_COLUMNS if args.oracle else [])
-    emit(rows, columns, config)
-    return EXIT_MISMATCH if any_mismatch else EXIT_OK
+def cmd_classify(args, config: RunConfig) -> tuple[list[dict], list[str]]:
+    return _classification_rows([(args.d, args.s)], config, args.oracle)
 
 
-def cmd_oracle(args, config: RunConfig) -> int:
+def cmd_table(args, config: RunConfig) -> tuple[list[dict], list[str]]:
+    pairs = ((d, s) for d in args.d_range for s in args.s_range)
+    return _classification_rows(pairs, config, args.oracle)
+
+
+def cmd_oracle(args, config: RunConfig) -> tuple[list[dict], list[str]]:
     if args.which == "alpha":
-        row, mismatch = alpha_record(args.d, args.s, config)
-        emit([row], ALPHA_COLUMNS, config, single=True)
-    else:
-        row, mismatch = measurement_record(
-            args.which, args.k, args.r, args.s, config)
-        emit([row], H_COLUMNS, config, single=True)
-    return EXIT_MISMATCH if mismatch else EXIT_OK
+        return [alpha_record(args.d, args.s, config)], ALPHA_COLUMNS
+    row = measurement_record(args.which, args.k, args.r, args.s, config)
+    return [row], H_COLUMNS
 
 
-def cmd_xi(args, config: RunConfig) -> int:
+def cmd_xi(args, config: RunConfig) -> tuple[list[dict], list[str]]:
     result = atlas.two_component_points(args.m, args.dmax)
     certified = args.m <= 17
     if not certified:
@@ -327,11 +316,10 @@ def cmd_xi(args, config: RunConfig) -> int:
         record = asdict(pt)
         record["certified"] = certified
         rows.append(record)
-    emit(rows, XI_COLUMNS, config)
-    return EXIT_OK
+    return rows, XI_COLUMNS
 
 
-def cmd_geography(args, config: RunConfig) -> int:
+def cmd_geography(args, config: RunConfig) -> tuple[list[dict], list[str]]:
     rows = [{"kind": "line", **asdict(line),
              "s": None, "chi": None, "c1sq": None, "deformation": None}
             for line in atlas.geography_lines(args.d_range)]
@@ -345,8 +333,7 @@ def cmd_geography(args, config: RunConfig) -> int:
                 "s": s, "chi": inv.chi, "c1sq": inv.c1sq,
                 "deformation": classify(pair).deformation.value,
             })
-    emit(rows, GEOGRAPHY_COLUMNS, config)
-    return EXIT_OK
+    return rows, GEOGRAPHY_COLUMNS
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +426,7 @@ def _resolve_config(parser: argparse.ArgumentParser, args) -> RunConfig:
     if not MIN_PRIME < args.prime <= fatpoints.MAX_PRIME or not _is_prime(args.prime):
         parser.error(f"prime must be a prime p with {MIN_PRIME} < p <= "
                      f"{fatpoints.MAX_PRIME}")
-    return RunConfig(seed=seed, trials=args.trials, prime=args.prime,
-                     output_format=args.output_format)
+    return RunConfig(seed=seed, trials=args.trials, prime=args.prime)
 
 
 COMMANDS = {
@@ -465,11 +451,23 @@ def main(argv=None) -> int:
             parser.error(f"oracle {args.which} needs --k and --r")
     config = _resolve_config(parser, args)
     try:
-        return COMMANDS[args.command](args, config)
+        rows, columns = COMMANDS[args.command](args, config)
     except ValueError as exc:
-        # every command builds its rows before emitting, so nothing has
-        # reached stdout yet
+        # no row has been written yet, so stdout stays empty on exit 2
         parser.error(str(exc))
+    try:
+        emit(rows, columns, args.output_format,
+             single=args.command in ("classify", "oracle"))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point the descriptor at devnull so the
+        # interpreter's final flush of the buffered rest cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED
+    if any(row.get("flag") == "MISMATCH" or row.get("oracle_flag") == "MISMATCH"
+           for row in rows):
+        return EXIT_MISMATCH
+    return EXIT_OK
 
 
 if __name__ == "__main__":

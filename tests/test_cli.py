@@ -215,6 +215,53 @@ def test_out_of_range_input_exits_2_with_empty_stdout(argv):
     assert b"error" in proc.stderr
 
 
+def test_failure_partway_through_a_table_exits_2_with_empty_stdout(
+        capsys, monkeypatch):
+    real, calls = cli.classification_record, []
+
+    def fail_on_second(pair, config, with_oracle):
+        calls.append(pair)
+        if len(calls) == 2:
+            raise ValueError("second pair rejected")
+        return real(pair, config, with_oracle)
+
+    monkeypatch.setattr(cli, "classification_record", fail_on_second)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "--d", "2..2", "--s", "1..3", "--format", "csv"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "second pair rejected" in out.err
+
+
+def test_oracle_flag_mismatch_exits_3(capsys, monkeypatch):
+    # (3, 5) measures not surjective; a formula claiming yes must flag it
+    monkeypatch.setattr(cli, "alpha_surjective", lambda pair: cli.TriState.YES)
+    code, out, _ = run_main(capsys, "table", "--d", "3..3", "--s", "5..5",
+                            "--oracle", "--format", "json")
+    assert code == 3
+    [row] = json.loads(out)
+    assert row["oracle_flag"] == "MISMATCH"
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # ~1.3 MB of csv, far past a pipe buffer, so a write meets the closed end
+    env = dict(os.environ)
+    env.pop("CANGEO_SEED", None)
+    proc = subprocess.Popen(
+        RUN + ["table", "--d", "2..40", "--s", "1..400", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline().startswith(b"d,s,")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
+
+
 # --- xi and geography -----------------------------------------------------
 
 def test_xi_m4_points():
