@@ -15,7 +15,6 @@ from .atlas import (
     ScrollWitness,
     TwoComponentPoint,
     UnwitnessedCandidate,
-    congruence_ok,
     find_witness,
     geography_lines,
     s_for_degree,
@@ -60,7 +59,6 @@ from .invariants import (
     moduli_dims_degree1,
 )
 from .scrolls import (
-    SPECIAL_M4_CASE,
     DivisorClass,
     ScrollSpec,
     line_for_m,
@@ -89,7 +87,6 @@ __all__ = [
     "ModuliDims",
     "OracleLimitError",
     "PointConfiguration",
-    "SPECIAL_M4_CASE",
     "ScrollSpec",
     "ScrollWitness",
     "SurfaceInvariants",
@@ -100,7 +97,6 @@ __all__ = [
     "alpha_surjective",
     "chi_tangent_blowup",
     "classify",
-    "congruence_ok",
     "cover_invariants",
     "deformation_class",
     "ext1_nonzero",

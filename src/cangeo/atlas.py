@@ -38,25 +38,6 @@ def s_for_degree(m: int, d: int) -> Fraction:
             - Fraction((m - 3) ** 2 * (m + 4), den))
 
 
-# Residues of d (mod the listed modulus) for which the arithmetic chain
-# closes: s integral and the scroll class quantity r*m + 3*l integral.
-CONGRUENCES: dict[int, tuple[int, frozenset[int]]] = {
-    5: (4, frozenset({1, 2})),
-    6: (25, frozenset({0, 3})),
-    7: (7, frozenset({4, 6})),
-    8: (21, frozenset({5, 19})),
-    9: (88, frozenset({6, 30, 61, 85})),
-    10: (39, frozenset({7, 20, 22, 35})),
-}
-
-
-def congruence_ok(m: int, d: int) -> bool:
-    if m not in CONGRUENCES:
-        raise ValueError("congruence table covers 5 <= m <= 10 only")
-    modulus, residues = CONGRUENCES[m]
-    return d % modulus in residues
-
-
 def scroll_class_total(m: int, x_prime: int) -> Fraction:
     """The quantity r*m + 3*l forced by p_g = x_prime on the line for m."""
     if m < 4:

@@ -175,26 +175,30 @@ def _flag(expected, measured) -> str | None:
     return "MATCH" if measured == expected else "MISMATCH"
 
 
-def _alpha_measurement(d: int, s: int, config: RunConfig) -> dict:
-    """Multiplication-map rank at (d, s), flagged against the zone verdict;
-    the keys are the measurement fields of an `oracle alpha` row."""
-    rank, dim_source, dim_target = fatpoints.alpha_rank(
-        d, s, trials=config.trials, seed=config.seed, p=config.prime)
-    surjective = rank == dim_target
-    formula = alpha_surjective(BlowupPair(d, s))
-    expected = None if formula is TriState.UNKNOWN else formula is TriState.YES
-    return {
-        "rank": rank, "dim_source": dim_source, "dim_target": dim_target,
-        "coker": dim_target - rank,
-        "surjective_measured": "yes" if surjective else "no",
-        "surjective_formula": formula.value,
-        "flag": _flag(expected, surjective),
-    }
+def _alpha_measurements(d: int, s_values, config: RunConfig) -> list[dict]:
+    """Multiplication-map rank at (d, s) for each s, flagged against the
+    zone verdict; the keys are the measurement fields of an `oracle alpha`
+    row.  One alpha_rank call measures the whole column."""
+    triples = fatpoints.alpha_rank(d, s_values, trials=config.trials,
+                                   seed=config.seed, p=config.prime)
+    out = []
+    for s, (rank, dim_source, dim_target) in zip(s_values, triples):
+        surjective = rank == dim_target
+        formula = alpha_surjective(BlowupPair(d, s))
+        expected = None if formula is TriState.UNKNOWN else formula is TriState.YES
+        out.append({
+            "rank": rank, "dim_source": dim_source, "dim_target": dim_target,
+            "coker": dim_target - rank,
+            "surjective_measured": "yes" if surjective else "no",
+            "surjective_formula": formula.value,
+            "flag": _flag(expected, surjective),
+        })
+    return out
 
 
-def classification_record(pair: BlowupPair, config: RunConfig,
-                          with_oracle: bool) -> dict:
-    """Full row for one pair."""
+def classification_record(pair: BlowupPair, alpha: dict | None = None) -> dict:
+    """Full row for one pair; with an `alpha` measurement, the oracle
+    columns too."""
     rec = classify(pair)
     row = {
         "d": pair.d,
@@ -219,8 +223,7 @@ def classification_record(pair: BlowupPair, config: RunConfig,
         row.update(mu=invariants.moduli_dim_degree2(pair), mu2=None, codim=None)
     else:
         row.update(mu=None, mu2=None, codim=None)
-    if with_oracle:
-        alpha = _alpha_measurement(pair.d, pair.s, config)
+    if alpha is not None:
         row.update({f"alpha_{key}": alpha[key]
                     for key in ("rank", "dim_source", "dim_target", "coker")})
         row["oracle_flag"] = alpha["flag"]
@@ -268,7 +271,7 @@ def alpha_record(d: int, s: int, config: RunConfig) -> dict:
     return {
         "d": d, "s": s,
         "seed": config.seed, "trials": config.trials, "prime": config.prime,
-        **_alpha_measurement(d, s, config),
+        **_alpha_measurements(d, [s], config)[0],
     }
 
 
@@ -276,20 +279,26 @@ def alpha_record(d: int, s: int, config: RunConfig) -> dict:
 # subcommands: each returns (rows, columns) and writes nothing to stdout
 # ---------------------------------------------------------------------------
 
-def _classification_rows(pairs, config: RunConfig,
+def _classification_rows(d_values, s_values, config: RunConfig,
                          with_oracle: bool) -> tuple[list[dict], list[str]]:
-    rows = [classification_record(BlowupPair(d, s), config, with_oracle)
-            for d, s in pairs]
+    """Rows by (d, s).  With the oracle, each d's pairs are all validated
+    before its column is measured, so a bad pair is reported as without
+    the oracle."""
+    rows = []
+    for d in d_values:
+        pairs = [BlowupPair(d, s) for s in s_values]
+        alphas = (_alpha_measurements(d, s_values, config) if with_oracle
+                  else [None] * len(pairs))
+        rows.extend(map(classification_record, pairs, alphas))
     return rows, CLASSIFY_ORACLE_COLUMNS if with_oracle else CLASSIFY_COLUMNS
 
 
 def cmd_classify(args, config: RunConfig) -> tuple[list[dict], list[str]]:
-    return _classification_rows([(args.d, args.s)], config, args.oracle)
+    return _classification_rows([args.d], [args.s], config, args.oracle)
 
 
 def cmd_table(args, config: RunConfig) -> tuple[list[dict], list[str]]:
-    pairs = ((d, s) for d in args.d_range for s in args.s_range)
-    return _classification_rows(pairs, config, args.oracle)
+    return _classification_rows(args.d_range, args.s_range, config, args.oracle)
 
 
 def cmd_oracle(args, config: RunConfig) -> tuple[list[dict], list[str]]:

@@ -257,56 +257,101 @@ def h0_fatpoints(system: FatPointSystem, trials: int = DEFAULT_TRIALS,
     return best
 
 
-def alpha_rank(d: int, s: int, trials: int = DEFAULT_TRIALS,
-               seed: int = DEFAULT_SEED,
-               p: int = DEFAULT_PRIME) -> tuple[int, int, int]:
-    """Rank data of the multiplication map on sections through s points.
+def _prefix_ranks(matrix: np.ndarray, counts, p: int) -> np.ndarray:
+    """Rank of matrix[:s] for each s in counts, from one elimination.
 
-    Let V_k be the degree-k curves through the s points (simple base
-    points).  The map sends V_{d-1} tensored with the linear forms x, y, z
-    into V_d.  Returns (rank, dim_source, dim_target) where dim_source is
-    3 * dim V_{d-1} and dim_target is dim V_d, measured at the same random
-    configuration.  Surjective iff rank == dim_target, injective iff
-    rank == dim_source.
-
-    The reported triple comes from the single most generic trial (highest
-    rank, then smallest dimensions), so its three numbers are mutually
-    consistent.
+    Echelon the transpose: its pivot columns are the rows of `matrix` not
+    in the span of the rows above them, so the rank of the first s rows
+    is the number of pivots below s.
     """
-    if d < 2:
-        raise ValueError("need degree at least 2")
-    if s < 1:
-        raise ValueError("need at least one point")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    sys_low = FatPointSystem(d - 1, 1, s)
-    sys_high = FatPointSystem(d, 1, s)
-    n_high = sys_high.ambient_dim
-    # Before anything is built: the larger vanishing matrix, and the product
-    # matrix, which has at least 3 * expected_h0 of the lower system rows.
-    for rows in (s, 3 * sys_low.expected_h0):
-        _check_size(rows, n_high)
-        _check_work(rows, n_high)
-    low = monomial_basis(d - 1)
+    pivots = _echelon(matrix.T, p, reduced=False)[1]
+    return np.searchsorted(pivots, counts)
+
+
+def _alpha_trial(d: int, cfg: PointConfiguration, s_values,
+                 p: int) -> list[tuple[int, int, int]]:
+    """(rank, dim_source, dim_target) at the first s points of cfg, for
+    each s in s_values.
+
+    Both vanishing matrices are built once, for all of cfg's points.  Rows
+    are point by point, so the first s rows are the matrix of the first s
+    points.
+    """
+    s_max = len(cfg.points)
+    mat_low = vanishing_matrix(cfg, FatPointSystem(d - 1, 1, s_max), p)
+    mat_high = vanishing_matrix(cfg, FatPointSystem(d, 1, s_max), p)
+    n_high = mat_high.shape[1]
+    dims_target = n_high - _prefix_ranks(mat_high, s_values, p)
     high_index = {mon: t for t, mon in enumerate(monomial_basis(d))}
     shifts = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    maps = [np.array([high_index[(i + si, j + sj, l + sl)] for (i, j, l) in low])
+    maps = [np.array([high_index[(i + si, j + sj, l + sl)]
+                      for (i, j, l) in monomial_basis(d - 1)])
             for (si, sj, sl) in shifts]
-
-    best: tuple[int, int, int] | None = None
-    for t in range(trials):
-        cfg = PointConfiguration.random(s, seed, p, trial=t)
-        kernel = kernel_basis_mod_p(vanishing_matrix(cfg, sys_low, p), p)
+    # more points can only shrink the kernel: once it is zero at some s,
+    # it is zero at every larger s
+    empty_from = float("inf")
+    out = []
+    for s, dim_target in zip(s_values, dims_target.tolist()):
+        if s >= empty_from:
+            kernel = mat_low[:0]
+        else:
+            kernel = kernel_basis_mod_p(mat_low[:s], p)
+            if kernel.shape[0] == 0:
+                empty_from = s
         dim_source = 3 * kernel.shape[0]
         _check_size(dim_source, n_high)
         prod = np.zeros((dim_source, n_high), dtype=np.int64)
         for w, col_map in enumerate(maps):
             prod[w::3, col_map] = kernel
-        rank = rank_mod_p(prod, p)
-        dim_target = n_high - rank_mod_p(
-            vanishing_matrix(cfg, sys_high, p), p)
-        triple = (rank, dim_source, dim_target)
-        if best is None or (rank, -dim_source, -dim_target) > (
-                best[0], -best[1], -best[2]):
-            best = triple
-    return best
+        out.append((rank_mod_p(prod, p), dim_source, dim_target))
+    return out
+
+
+def _most_generic(triple: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Sort key of a trial's (rank, dim_source, dim_target): smallest
+    dimensions first, then largest rank."""
+    rank, dim_source, dim_target = triple
+    return dim_source, dim_target, -rank
+
+
+def alpha_rank(d: int, s_values, trials: int = DEFAULT_TRIALS,
+               seed: int = DEFAULT_SEED,
+               p: int = DEFAULT_PRIME) -> list[tuple[int, int, int]]:
+    """Rank data of the multiplication map on sections through s points,
+    one (rank, dim_source, dim_target) per entry of s_values, in order.
+
+    Let V_k be the degree-k curves through the s points (simple base
+    points).  The map sends V_{d-1} tensored with the linear forms x, y, z
+    into V_d.  dim_source is 3 * dim V_{d-1} and dim_target is dim V_d,
+    measured at the same random configuration.  Surjective iff
+    rank == dim_target, injective iff rank == dim_source.
+
+    Each trial draws max(s_values) points once; the entry for s reads the
+    first s of them, which are exactly the points PointConfiguration.random
+    draws for s alone.  So an entry is the same whatever else s_values
+    holds.  A special configuration can only enlarge the two dimensions,
+    so the reported triple comes from a trial with the smallest
+    (dim_source, dim_target), and among those the largest rank (the
+    earliest trial on a tie); its three numbers are mutually consistent.
+    """
+    if d < 2:
+        raise ValueError("need degree at least 2")
+    s_values = list(s_values)
+    if not s_values or min(s_values) < 1:
+        raise ValueError("need at least one point")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    n_high = FatPointSystem(d, 1, 1).ambient_dim
+    # Before anything is drawn: the larger vanishing matrix, and the
+    # product matrix, which has at least 3 * expected_h0 of the lower
+    # system rows.  The first grows with s and the second shrinks, so both
+    # ends of a range are covered; every s is checked, in order, so the
+    # error names the first s over a cap.
+    for s in s_values:
+        for rows in (s, 3 * FatPointSystem(d - 1, 1, s).expected_h0):
+            _check_size(rows, n_high)
+            _check_work(rows, n_high)
+    per_trial = [_alpha_trial(d, PointConfiguration.random(
+                     max(s_values), seed, p, trial=t), s_values, p)
+                 for t in range(trials)]
+    return [min(column, key=_most_generic) for column in zip(*per_trial)]

@@ -106,15 +106,9 @@ def scroll_admissible(spec: ScrollSpec, cls: DivisorClass) -> bool:
     m*a + l > 0 makes mH + lF very ample, and (m-3)*a + r + l - 5 > 0 makes
     the adjoint bundle very ample.  Sufficient, not necessary: the pair
     (p_g, c1sq) = (5, 8) on the m = 4 line is realized by S(1, 2, 2) with
-    l = -4, where mH + lF is merely base point free (m*a + l == 0); see
-    SPECIAL_M4_CASE.
+    l = -4, where mH + lF is merely base point free (m*a + l == 0).
     """
     m, l = cls.m, cls.l
     a, r = spec.a, spec.r
     return m * a + l > 0 and (m - 3) * a + r + l - 5 > 0
 
-
-# The one documented exception to the inequality route: these data put a
-# smooth canonically embedded surface with (p_g, c1sq) = (5, 8) on the
-# m = 4 line even though scroll_admissible returns False for them.
-SPECIAL_M4_CASE = (ScrollSpec(1, 2, 2), DivisorClass(4, -4))

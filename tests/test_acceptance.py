@@ -86,7 +86,7 @@ def test_criterion_04_alpha_oracle_agrees_with_the_zones():
             verdict = alpha_surjective(BlowupPair(d, s))
             if verdict is TriState.UNKNOWN:
                 continue
-            rank, _, dim_target = alpha_rank(d, s, trials=5)
+            [(rank, _, dim_target)] = alpha_rank(d, [s], trials=5)
             if (rank == dim_target) != (verdict is TriState.YES):
                 disagreements.append((d, s))
     assert disagreements == []
@@ -95,7 +95,7 @@ def test_criterion_04_alpha_oracle_agrees_with_the_zones():
 
 def test_criterion_05_cokernel_matches_moduli_gap():
     for d, s in SEVEN_PAIRS:
-        rank, _, dim_target = alpha_rank(d, s)
+        [(rank, _, dim_target)] = alpha_rank(d, [s])
         dims = moduli_dims_degree1(BlowupPair(d, s))
         assert dim_target - rank == 2 * s + 1 - d * d == dims.mu - dims.mu2, (d, s)
 

@@ -9,7 +9,6 @@ import pytest
 
 from cangeo.atlas import (
     ScrollWitness,
-    congruence_ok,
     find_witness,
     geography_lines,
     s_for_degree,
@@ -19,6 +18,25 @@ from cangeo.atlas import (
 from cangeo.classify import BlowupPair, TriState, smooth_cover_exists
 from cangeo.invariants import cover_invariants
 from cangeo.scrolls import DivisorClass, ScrollSpec, on_line, scroll_surface_invariants
+
+# Reference: residues of d (mod the listed modulus) for which the
+# arithmetic chain closes: s integral and the scroll class quantity
+# r*m + 3*l integral.
+CONGRUENCES: dict[int, tuple[int, frozenset[int]]] = {
+    5: (4, frozenset({1, 2})),
+    6: (25, frozenset({0, 3})),
+    7: (7, frozenset({4, 6})),
+    8: (21, frozenset({5, 19})),
+    9: (88, frozenset({6, 30, 61, 85})),
+    10: (39, frozenset({7, 20, 22, 35})),
+}
+
+
+def congruence_ok(m: int, d: int) -> bool:
+    if m not in CONGRUENCES:
+        raise ValueError("congruence table covers 5 <= m <= 10 only")
+    modulus, residues = CONGRUENCES[m]
+    return d % modulus in residues
 
 
 def test_s_for_degree_reference_values():

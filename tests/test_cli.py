@@ -215,15 +215,42 @@ def test_out_of_range_input_exits_2_with_empty_stdout(argv):
     assert b"error" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("table", "--d", "1..3", "--s", "1..2"),
+    ("table", "--d", "2..3", "--s", "0..2"),
+], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
+def test_out_of_range_table_with_oracle_fails_as_without(argv):
+    # a column's pairs are validated before its oracle measurement
+    plain = run_cli(*argv, "--format", "csv")
+    proc = run_cli(*argv, "--oracle", "--format", "csv")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == plain.stderr
+
+
+@pytest.mark.parametrize("d_range, s_range", [
+    ("60..60", "1999..2000"),
+    # s 800..1947 pass both caps at d = 53 and would each be measured
+    # before s = 1948 failed, were the caps not checked for the whole column
+    ("53..53", "800..2000"),
+])
+def test_oracle_column_over_the_cap_exits_2_before_measuring(d_range, s_range):
+    proc = run_cli("table", "--d", d_range, "--s", s_range, "--oracle",
+                   timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"cap" in proc.stderr
+
+
 def test_failure_partway_through_a_table_exits_2_with_empty_stdout(
         capsys, monkeypatch):
     real, calls = cli.classification_record, []
 
-    def fail_on_second(pair, config, with_oracle):
+    def fail_on_second(pair, *rest):
         calls.append(pair)
         if len(calls) == 2:
             raise ValueError("second pair rejected")
-        return real(pair, config, with_oracle)
+        return real(pair, *rest)
 
     monkeypatch.setattr(cli, "classification_record", fail_on_second)
     with pytest.raises(SystemExit) as exc:

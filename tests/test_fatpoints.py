@@ -22,6 +22,9 @@ from cangeo.fatpoints import (
     FatPointSystem,
     PointConfiguration,
     alpha_rank,
+    _alpha_trial,
+    _most_generic,
+    _prefix_ranks,
     h0_fatpoints,
     kernel_basis_mod_p,
     monomial_basis,
@@ -213,7 +216,7 @@ def test_matrix_size_cap():
     with pytest.raises(ValueError, match="cap"):
         h0_fatpoints(FatPointSystem(200, 10, 1000))
     with pytest.raises(ValueError, match="cap"):
-        alpha_rank(200, 1)
+        alpha_rank(200, [1])
     # a 5000-column kernel basis of a 1-row input would be 5000 x 5000
     with pytest.raises(ValueError, match="cap"):
         kernel_basis_mod_p(np.zeros((1, 5000), dtype=np.int64))
@@ -229,7 +232,14 @@ def test_elimination_work_cap():
         h0_fatpoints(system)
     # alpha_rank's high vanishing matrix: 2000 x 1891
     with pytest.raises(ValueError, match="cap"):
-        alpha_rank(60, 2000)
+        alpha_rank(60, [2000])
+    # at d = 53 only 782 <= s <= 1947 pass: the vanishing matrix grows with
+    # s and the product matrix (3 * (1431 - s) rows) shrinks, so a column
+    # is checked at both ends before its first entry is measured
+    with pytest.raises(ValueError, match="2000x1485"):
+        alpha_rank(53, [800, 2000])
+    with pytest.raises(ValueError, match="2193x1485"):
+        alpha_rank(53, [700, 1000])
     with pytest.raises(ValueError, match="cap"):
         rank_mod_p(np.zeros((1700, 1700), dtype=np.int64))
     with pytest.raises(ValueError, match="cap"):
@@ -323,15 +333,95 @@ def test_h0_bounds_and_monotonicity(k, r, s):
 def test_alpha_rank_small_cases():
     # d=2, s=1: one conic pencil member times three linear forms spans
     # everything vanishing at the point
-    rank, source, target = alpha_rank(2, 1)
+    [(rank, source, target)] = alpha_rank(2, [1])
     assert (rank, source, target) == (5, 6, 5)
     # d=3, s=5: one conic through five points, map cannot reach dim 5
-    rank, source, target = alpha_rank(3, 5)
+    [(rank, source, target)] = alpha_rank(3, [5])
     assert (rank, source, target) == (3, 3, 5)
 
 
 def test_alpha_rank_validation():
     with pytest.raises(ValueError):
-        alpha_rank(1, 3)
+        alpha_rank(1, [3])
     with pytest.raises(ValueError):
-        alpha_rank(3, 0)
+        alpha_rank(3, [0])
+    with pytest.raises(ValueError):
+        alpha_rank(3, [4, 0, 5])
+    with pytest.raises(ValueError):
+        alpha_rank(3, [])
+
+
+def test_trial_rule_keeps_the_generic_configuration():
+    # five points on the line y = 0: every conic through them contains
+    # the line, so V_2 = line * V_1 (dim 3) and V_3 = line * V_2 (dim 6),
+    # and the map reaches all of V_3.  In general position the one conic
+    # through five points gives rank 3 < dim V_3 = 5.
+    collinear = PointConfiguration(points=tuple((x, 0) for x in range(5)))
+    generic = PointConfiguration.random(5, seed=0xC0FFEE)
+    [special] = _alpha_trial(3, collinear, [5], P)
+    [usual] = _alpha_trial(3, generic, [5], P)
+    assert special == (6, 9, 6)     # coker 0: surjective
+    assert usual == (3, 3, 5)       # coker 2: not surjective
+    # the special trial has the larger rank and must still lose
+    assert min([special, usual], key=_most_generic) == usual
+    assert min([usual, special], key=_most_generic) == usual
+
+
+def _alpha_per_pair(d, s, trials, seed, p):
+    """The per-(d, s) measurement: draw s points, build both vanishing
+    matrices and eliminate them for this s alone, in every trial; then
+    keep the smallest (dim_source, dim_target), and the largest rank
+    among those."""
+    sys_low, sys_high = FatPointSystem(d - 1, 1, s), FatPointSystem(d, 1, s)
+    n_high = sys_high.ambient_dim
+    high_index = {mon: t for t, mon in enumerate(monomial_basis(d))}
+    triples = []
+    for t in range(trials):
+        cfg = PointConfiguration.random(s, seed, p, trial=t)
+        kernel = kernel_basis_mod_p(vanishing_matrix(cfg, sys_low, p), p)
+        prod = np.zeros((3 * kernel.shape[0], n_high), dtype=np.int64)
+        for w, shift in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+            cols = [high_index[tuple(e + f for e, f in zip(mon, shift))]
+                    for mon in monomial_basis(d - 1)]
+            prod[w::3, cols] = kernel
+        dim_target = n_high - rank_mod_p(vanishing_matrix(cfg, sys_high, p), p)
+        triples.append((rank_mod_p(prod, p), prod.shape[0], dim_target))
+    return min(triples, key=lambda t: (t[1], t[2], -t[0]))
+
+
+@pytest.mark.parametrize("trials, seed, p", [
+    (5, 0xC0FFEE, P), (5, 0x5EED5, P), (2, 0xC0FFEE, 1000003)])
+def test_alpha_column_equals_the_per_pair_measurement(trials, seed, p):
+    s_values = range(1, 41)
+    for d in range(2, 9):
+        column = alpha_rank(d, s_values, trials=trials, seed=seed, p=p)
+        assert column == [_alpha_per_pair(d, s, trials, seed, p)
+                          for s in s_values], d
+    # an entry does not depend on what else the column holds
+    assert alpha_rank(5, [30, 7, 12], seed=seed, p=p, trials=trials) == [
+        _alpha_per_pair(5, s, trials, seed, p) for s in (30, 7, 12)]
+
+
+@st.composite
+def matrices_with_repeats(draw):
+    """Small integer matrices in which rows may be zero or copies of an
+    earlier row."""
+    cols = draw(st.integers(1, 6))
+    rows: list[list[int]] = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("random", "zero", "repeat")))
+        if kind == "zero":
+            rows.append([0] * cols)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            rows.append(draw(st.lists(st.integers(-50, 50),
+                                      min_size=cols, max_size=cols)))
+    return np.array(rows, dtype=np.int64)
+
+
+@given(matrices_with_repeats())
+def test_prefix_ranks_equal_the_rank_of_each_prefix(mat):
+    counts = list(range(mat.shape[0] + 1))
+    assert _prefix_ranks(mat, counts, P).tolist() == [
+        rank_mod_p(mat[:s], P) for s in counts]

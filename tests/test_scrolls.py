@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cangeo.classify import BlowupPair
 from cangeo.invariants import cover_invariants
 from cangeo.scrolls import (
-    SPECIAL_M4_CASE,
     DivisorClass,
     ScrollSpec,
     line_for_m,
@@ -83,6 +82,12 @@ def test_line_hits_empty_input_rejected():
 def test_line_hits_multiple_memberships_reported():
     hits = scroll_line_hits([(9, 20)])
     assert ((9, 20), 4) in hits and ((9, 20), 5) in hits
+
+
+# The one documented exception to the inequality route: these data put a
+# smooth canonically embedded surface with (p_g, c1sq) = (5, 8) on the
+# m = 4 line even though scroll_admissible returns False for them.
+SPECIAL_M4_CASE = (ScrollSpec(1, 2, 2), DivisorClass(4, -4))
 
 
 def test_special_m4_case_realizes_but_fails_inequalities():
