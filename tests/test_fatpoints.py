@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cangeo import fatpoints
 from cangeo.fatpoints import (
     DEFAULT_PRIME,
     MAX_ELIMINATION_WORK,
@@ -23,8 +24,11 @@ from cangeo.fatpoints import (
     PointConfiguration,
     alpha_rank,
     _alpha_trial,
+    _block_rref,
     _most_generic,
+    _pivot_loop,
     _prefix_ranks,
+    _submul_mod_p,
     h0_fatpoints,
     kernel_basis_mod_p,
     monomial_basis,
@@ -198,6 +202,84 @@ def test_exact_at_the_largest_accepted_prime():
             assert sum(a * int(b) for a, b in zip(row, vec)) % p == 0
 
 
+PRIMES = (5, 7, 1000003, 2 ** 31 - 1, 3037000493)
+
+
+@st.composite
+def structured_matrices(draw):
+    """(matrix of residues, p) with 1-80 rows, so the block recursion and
+    its leaves run at small sizes: full or rank-deficient products, with
+    zero rows, repeated rows and zero columns."""
+    p = draw(st.sampled_from(PRIMES))
+    rows, cols = draw(st.integers(1, 80)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        mat = rng.integers(0, p, (rows, cols))
+    else:
+        # rank at most `inner`; small left factors keep int64 exact
+        inner = draw(st.integers(0, min(rows, cols)))
+        mat = rng.integers(0, 4, (rows, inner)) @ rng.integers(0, p, (inner, cols)) % p
+    mat[rng.random(rows) < draw(st.sampled_from((0, 0.3)))] = 0
+    mat[:, rng.random(cols) < draw(st.sampled_from((0, 0.3)))] = 0
+    if draw(st.booleans()):
+        copies = rng.integers(0, rows, rows // 2)
+        mat[rng.integers(0, rows, rows // 2)] = mat[copies]
+    return mat, p
+
+
+@settings(deadline=None)
+@given(structured_matrices())
+def test_block_path_equals_the_pivot_loop(case):
+    mat, p = case
+    by_loop = mat.copy()
+    loop_pivots = _pivot_loop(by_loop, p, reduced=True)
+    by_blocks = mat.copy()
+    assert _block_rref(by_blocks, p) == loop_pivots
+    assert np.array_equal(by_blocks, by_loop)
+
+
+def test_public_functions_above_the_block_gate(monkeypatch):
+    # the widest ladder system (450 x 861, rank 450), with 100 repeated
+    # rows appended (rank-deficient), and its transpose (861 rows, 411 of
+    # them zero in the reduced form) through _prefix_ranks
+    cfg = PointConfiguration.random(30, seed=0xC0FFEE)
+    mat = vanishing_matrix(cfg, FatPointSystem(40, 5, 30), P)
+    tall = np.vstack([mat, mat[:100] * 3 % P])
+    counts = [0, 1, 100, 300, 450, 600, 861]
+
+    def measure():
+        return (rank_mod_p(mat, P), rank_mod_p(tall, P), rref_mod_p(tall, P),
+                kernel_basis_mod_p(mat, P), _prefix_ranks(mat, counts, P))
+
+    assert min(mat.shape) >= fatpoints._BLOCK_MIN_ROWS
+    by_blocks = measure()
+    monkeypatch.setattr(fatpoints, "_BLOCK_MIN_ROWS", 10 ** 9)
+    by_loop = measure()
+    assert by_blocks[:2] == by_loop[:2] == (450, 450)
+    assert by_blocks[2][1] == by_loop[2][1]
+    assert np.array_equal(by_blocks[2][0], by_loop[2][0])
+    assert np.array_equal(by_blocks[3], by_loop[3])
+    assert by_blocks[4].tolist() == by_loop[4].tolist() == [
+        0, 1, 100, 300, 450, 450, 450]
+
+
+def test_limb_product_is_exact_at_its_limit():
+    # every entry p - 1 at the largest accepted prime, and the largest
+    # inner dimension the elimination cap allows; 300 columns cross a panel
+    p = 3037000493
+    assert MAX_PRIME < 2 ** 32
+    inner = 1625
+    assert inner ** 3 <= MAX_ELIMINATION_WORK < (inner + 1) ** 3
+    left = np.full((3, inner), p - 1, dtype=np.int64)
+    right = np.full((inner, 300), p - 1, dtype=np.int64)
+    right[:, ::7] = np.arange(inner)[:, None]
+    acc = np.full((3, 300), p - 1, dtype=np.int64)
+    acc[1] = 0
+    expected = (acc.astype(object) - left.astype(object) @ right.astype(object)) % p
+    _submul_mod_p(acc, left, right, p)
+    assert acc.tolist() == expected.tolist()
+
+
 def test_moduli_that_overflow_int64_are_rejected():
     big = 4294967311   # prime, (big - 1)**2 > 2**63
     mat = np.array([[1, 2], [3, 4]], dtype=np.int64)
@@ -365,6 +447,20 @@ def test_trial_rule_keeps_the_generic_configuration():
     # the special trial has the larger rank and must still lose
     assert min([special, usual], key=_most_generic) == usual
     assert min([usual, special], key=_most_generic) == usual
+
+
+def test_an_empty_kernel_is_not_eliminated(monkeypatch):
+    # from s = dim V_{d-1} on, the product matrix has no rows: its rank is 0
+    eliminated = []
+
+    def counting_rank(matrix, p):
+        eliminated.append(matrix.shape[0])
+        return rank_mod_p(matrix, p)
+
+    monkeypatch.setattr(fatpoints, "rank_mod_p", counting_rank)
+    column = alpha_rank(3, range(1, 9), trials=1)
+    assert [entry[:2] for entry in column[5:]] == [(0, 0)] * 3
+    assert len(eliminated) == 5 and min(eliminated) > 0
 
 
 def _alpha_per_pair(d, s, trials, seed, p):
