@@ -7,6 +7,9 @@ stay 2-to-1 under deformation, and where does the surface sit in the
 (chi, c1^2) plane".  A finite-field interpolation oracle cross-checks
 every dimension formula against actual linear systems of plane curves
 with fat base points.
+
+The oracle's names (`alpha_rank`, `h0_fatpoints`, ...) are loaded on first
+use, so that the closed forms never import numpy.
 """
 
 from .atlas import (
@@ -34,21 +37,7 @@ from .classify import (
     very_ample,
     zone_rule,
 )
-from .fatpoints import (
-    DEFAULT_PRIME,
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    MAX_ELIMINATION_WORK,
-    MAX_MATRIX_ENTRIES,
-    MAX_PRIME,
-    FatPointSystem,
-    OracleLimitError,
-    PointConfiguration,
-    alpha_rank,
-    h0_fatpoints,
-    monomial_basis,
-    vanishing_matrix,
-)
+from .defaults import DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, MAX_PRIME
 from .invariants import (
     ModuliDims,
     SurfaceInvariants,
@@ -69,6 +58,29 @@ from .scrolls import (
 )
 
 __version__ = "0.1.0"
+
+# Loaded from .fatpoints on first access (PEP 562), not at import.
+_ORACLE_NAMES = frozenset({
+    "FatPointSystem",
+    "MAX_ELIMINATION_WORK",
+    "MAX_MATRIX_ENTRIES",
+    "OracleLimitError",
+    "PointConfiguration",
+    "alpha_rank",
+    "h0_fatpoints",
+    "monomial_basis",
+    "vanishing_matrix",
+})
+
+
+def __getattr__(name: str):
+    # Not cached in the package namespace: every access reads the current
+    # binding in .fatpoints, so a name rebound there is seen here too.
+    if name in _ORACLE_NAMES:
+        from . import fatpoints
+        return getattr(fatpoints, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BlowupPair",

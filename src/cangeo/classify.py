@@ -101,6 +101,26 @@ def zones(d: int) -> Zones:
     )
 
 
+def s_runs(d: int, s_values: range) -> list[range]:
+    """The window `s_values` (step 1) cut into runs of s on which, for this
+    d, every verdict below, the deformation class and the rule text stay
+    the same, so that every invariant and moduli dimension is affine in s.
+
+    Every verdict compares s against one field t of zones(d) or against a
+    listed pair, so a run starts at t and t+1 for every field and at s and
+    s+1 for every listed pair (d, s).  The cuts know no zone: a surplus one
+    only splits a run in two.
+    """
+    cuts = {s_values.start, s_values.stop}
+    for t in zones(d):
+        cuts.update((t, t + 1))
+    for listed_d, s in DEGREE1_PAIRS | OPEN_PAIRS:
+        if listed_d == d:
+            cuts.update((s, s + 1))
+    edges = sorted(c for c in cuts if s_values.start <= c <= s_values.stop)
+    return [range(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def _tri(yes: bool, no: bool) -> TriState:
     return TriState.YES if yes else TriState.NO if no else TriState.UNKNOWN
 

@@ -8,9 +8,14 @@ stderr.  Identical invocations produce byte-identical stdout.
 
 Exit codes: 0 success, 1 stdout closed by the reader, 2 bad input (an
 oracle system over the matrix size or elimination work cap included;
-stdout is then empty, as every row is built before any is written), 3
-oracle measurement disagreeing with a closed-form prediction (rerun with
-another seed; persistent mismatch means a bug on one side or the other).
+stdout is then empty, as every verdict and measurement is computed before
+the first byte), 3 oracle measurement disagreeing with a closed-form
+prediction (rerun with another seed; persistent mismatch means a bug on
+one side or the other).
+
+A command plans its rows (`Rows`) and writes nothing; `main` then streams
+them.  Closed-form rows are stepped along the runs of `classify.s_runs`,
+and only a command that measures imports the oracle, and with it numpy.
 """
 
 from __future__ import annotations
@@ -21,10 +26,13 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
+from fractions import Fraction
+from itertools import chain, islice
 
-from . import atlas, fatpoints, invariants
+from . import atlas, invariants
 from .classify import (BlowupPair, DeformationClass, TriState, alpha_surjective, classify,
-                       smooth_cover_exists, zone_rule, zones)
+                       s_runs, smooth_cover_exists, zone_rule, zones)
+from .defaults import DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, MAX_PRIME
 
 EXIT_OK = 0
 EXIT_CLOSED = 1
@@ -68,7 +76,7 @@ def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin with the prime bases up to 37.
 
     Those bases are proven sufficient below about 3.3e24, far above the
-    largest modulus the oracle accepts (fatpoints.MAX_PRIME).
+    largest modulus the oracle accepts (MAX_PRIME).
     """
     if n < 2:
         return False
@@ -131,35 +139,75 @@ def _flatten(record: dict) -> dict:
     return flat
 
 
-def emit(records: list[dict], columns: list[str], fmt: str,
-         single: bool = False) -> None:
+# Rows per json.dumps call of a streamed JSON array: as fast as one dump of
+# the whole list, and one dump per row would take about twice as long.
+JSON_CHUNK_ROWS = 256
+
+
+def _dumps(payload) -> str:
+    # default=str writes a Fraction as "1/9"
+    return json.dumps(payload, indent=2, sort_keys=True, default=str)
+
+
+def _write_json_array(out, records) -> None:
+    """Write _dumps(list(records)) chunk by chunk, holding one chunk.
+
+    Each chunk is dumped as a list; without its "[\n" and "\n]" ends it is
+    the chunk's part of the whole list, and parts join with ",\n".
+    """
+    records = iter(records)
+    sep = "[\n"
+    while batch := list(islice(records, JSON_CHUNK_ROWS)):
+        out.write(sep)
+        out.write(_dumps(batch)[2:-2])
+        sep = ",\n"
+    out.write("[]" if sep == "[\n" else "\n]")
+
+
+def _cells(records, columns: list[str]):
+    """Each record's values in column order, nested dicts flattened."""
+    wanted = set(columns)
+    for record in records:
+        if not record.keys() >= wanted:
+            record = _flatten(record)
+        yield [record.get(c) for c in columns]
+
+
+def emit(records, columns: list[str], fmt: str, single: bool = False) -> None:
+    """Write `records` to stdout, one row at a time.
+
+    `records` may be iterated twice (the table format measures its column
+    widths first); with `single`, only its first record is written.
+    """
     out = sys.stdout
     if fmt == "json":
-        # default=str writes a Fraction as "1/9"
-        payload = records[0] if single else records
-        out.write(json.dumps(payload, indent=2, sort_keys=True, default=str))
+        if single:
+            out.write(_dumps(next(iter(records))))
+        else:
+            _write_json_array(out, records)
         out.write("\n")
         return
-    flat = [_flatten(r) for r in records]
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\r\n")
         writer.writerow(columns)
-        for row in flat:
-            writer.writerow([_plain(row.get(c)) for c in columns])
+        # csv writes None as "" and any other value as str() does, so only
+        # a bool needs _plain
+        writer.writerows([_plain(v) if v.__class__ is bool else v for v in row]
+                         for row in _cells(records, columns))
         return
     if single:
+        [cells] = islice(_cells(records, columns), 1)
         width = max(len(c) for c in columns)
-        for c in columns:
-            cell = _plain(flat[0].get(c))
-            out.write(f"{c:<{width}}  {cell}\n".rstrip() + "\n")
+        for c, cell in zip(columns, cells):
+            out.write(f"{c:<{width}}  {_plain(cell)}\n".rstrip() + "\n")
         return
-    cells = [[_plain(row.get(c)) for c in columns] for row in flat]
-    widths = [max(len(c), *(len(row[i]) for row in cells)) if cells else len(c)
-              for i, c in enumerate(columns)]
+    widths = [len(c) for c in columns]
+    for cells in _cells(records, columns):
+        widths = [max(w, len(_plain(v))) for w, v in zip(widths, cells)]
     out.write("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip())
     out.write("\n")
-    for row in cells:
-        out.write("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
+    for cells in _cells(records, columns):
+        out.write("  ".join(_plain(v).ljust(w) for v, w in zip(cells, widths)).rstrip())
         out.write("\n")
 
 
@@ -179,6 +227,8 @@ def _alpha_measurements(d: int, s_values, config: RunConfig) -> list[dict]:
     """Multiplication-map rank at (d, s) for each s, flagged against the
     zone verdict; the keys are the measurement fields of an `oracle alpha`
     row.  One alpha_rank call measures the whole column."""
+    from . import fatpoints
+
     triples = fatpoints.alpha_rank(d, s_values, trials=config.trials,
                                    seed=config.seed, p=config.prime)
     out = []
@@ -196,9 +246,8 @@ def _alpha_measurements(d: int, s_values, config: RunConfig) -> list[dict]:
     return out
 
 
-def classification_record(pair: BlowupPair, alpha: dict | None = None) -> dict:
-    """Full row for one pair; with an `alpha` measurement, the oracle
-    columns too."""
+def classification_record(pair: BlowupPair) -> dict:
+    """Full closed-form row for one pair."""
     rec = classify(pair)
     row = {
         "d": pair.d,
@@ -223,15 +272,38 @@ def classification_record(pair: BlowupPair, alpha: dict | None = None) -> dict:
         row.update(mu=invariants.moduli_dim_degree2(pair), mu2=None, codim=None)
     else:
         row.update(mu=None, mu2=None, codim=None)
-    if alpha is not None:
-        row.update({f"alpha_{key}": alpha[key]
-                    for key in ("rank", "dim_source", "dim_target", "coker")})
-        row["oracle_flag"] = alpha["flag"]
     return row
+
+
+def _with_alpha(row: dict, alpha: dict) -> dict:
+    """A classification row with the oracle columns of its measurement."""
+    row.update({f"alpha_{key}": alpha[key]
+                for key in ("rank", "dim_source", "dim_target", "coker")})
+    row["oracle_flag"] = alpha["flag"]
+    return row
+
+
+def _slope(row: dict) -> Fraction | None:
+    """SurfaceInvariants.slope, recomputed from a row's c1sq and c2."""
+    return None if row["c2"] is None else Fraction(row["c1sq"], row["c2"])
+
+
+def _point_record(d: int, s: int) -> dict:
+    """The geography point of the cover (d, s), which must exist."""
+    pair = BlowupPair(d, s)
+    inv = invariants.cover_invariants(pair)
+    return {
+        "kind": "point", "d": d, "intercept": None,
+        "x_min": None, "x_max": None,
+        "s": s, "chi": inv.chi, "c1sq": inv.c1sq,
+        "deformation": classify(pair).deformation.value,
+    }
 
 
 def expected_h0(k: int, r: int, s: int) -> int | None:
     """Closed-form prediction where one is known; None otherwise."""
+    from . import fatpoints
+
     if (k, r, s) in CURATED_H0:
         return CURATED_H0[(k, r, s)]
     if r == 1:
@@ -248,6 +320,8 @@ def measurement_record(which: str, k: int, r: int, s: int,
                        config: RunConfig) -> dict:
     """One h0 measurement; h1 is the same row shifted by the Euler
     characteristic chi = ambient_dim - conditions, since h1 = h0 - chi."""
+    from . import fatpoints
+
     system = fatpoints.FatPointSystem(k, r, s)
     measured = fatpoints.h0_fatpoints(
         system, trials=config.trials, seed=config.seed, p=config.prime)
@@ -276,39 +350,125 @@ def alpha_record(d: int, s: int, config: RunConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (rows, columns) and writes nothing to stdout
+# planned rows
 # ---------------------------------------------------------------------------
 
-def _classification_rows(d_values, s_values, config: RunConfig,
-                         with_oracle: bool) -> tuple[list[dict], list[str]]:
-    """Rows by (d, s).  With the oracle, each d's pairs are all validated
-    before its column is measured, so a bad pair is reported as without
-    the oracle."""
-    rows = []
+class Rows:
+    """A command's rows, planned before any is written.
+
+    Every verdict and measurement, and so every error and every MISMATCH
+    flag, is computed when the plan is made.  Iterating builds the rows one
+    at a time, afresh on each pass, so that no pass holds them all.
+    """
+
+    def __init__(self, count: int, build, mismatch: bool = False):
+        self._count = count
+        self._build = build
+        self.mismatch = mismatch
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        return iter(self._build())
+
+    @classmethod
+    def of(cls, rows: list[dict]) -> Rows:
+        """Rows already built; MISMATCH in a `flag` column is noted."""
+        return cls(len(rows), lambda: rows,
+                   any(row.get("flag") == "MISMATCH" for row in rows))
+
+
+class _SteppedRun:
+    """The records of one run of s (`classify.s_runs`), from three calls.
+
+    `record_at(s)` is called at the run's first s and, if it has one, its
+    second: every int field then steps by their difference (`s` included),
+    each field of `derived` is recomputed from the stepped row, and every
+    other field must stay the same.  A third call at the last s checks
+    the stepping, so a missing cut cannot pass unseen.
+    """
+
+    def __init__(self, record_at, run: range, derived: dict):
+        self._first = first = record_at(run.start)
+        self._steps = []
+        self._derived = derived.items()
+        self._len = len(run)
+        if len(run) > 1:
+            second = record_at(run.start + 1)
+            for key, value in first.items():
+                if key in derived:
+                    continue
+                other = second[key]
+                if type(value) is int and type(other) is int:
+                    if other != value:
+                        self._steps.append((key, value, other - value))
+                elif other != value:
+                    raise AssertionError(
+                        f"{key} changes inside the run {run} of {first}")
+        if len(run) > 2 and self.row(len(run) - 1) != record_at(run[-1]):
+            raise AssertionError(f"the run {run} of {first} is not affine in s")
+
+    def __len__(self) -> int:
+        return self._len
+
+    def row(self, i: int) -> dict:
+        """The record at the run's i-th s."""
+        row = self._first.copy()
+        for key, value, step in self._steps:
+            row[key] = value + i * step
+        for key, derive in self._derived:
+            row[key] = derive(row)
+        return row
+
+    def __iter__(self):
+        return map(self.row, range(self._len))
+
+
+def _classification_rows(d_values, s_values: range, config: RunConfig,
+                         with_oracle: bool) -> tuple[Rows, list[str]]:
+    """Rows by (d, s), stepped along the runs of each d.  With the oracle,
+    a column is measured only after its runs are planned, which validates
+    its pairs: a bad pair is reported as without the oracle."""
+    runs, alphas = [], []
     for d in d_values:
-        pairs = [BlowupPair(d, s) for s in s_values]
-        alphas = (_alpha_measurements(d, s_values, config) if with_oracle
-                  else [None] * len(pairs))
-        rows.extend(map(classification_record, pairs, alphas))
+        def record_at(s, d=d):
+            return classification_record(BlowupPair(d, s))
+        runs.extend(_SteppedRun(record_at, run, {"slope": _slope})
+                    for run in s_runs(d, s_values))
+        if with_oracle:
+            alphas.extend(_alpha_measurements(d, s_values, config))
+
+    def build():
+        rows = chain.from_iterable(runs)
+        return map(_with_alpha, rows, alphas) if with_oracle else rows
+
+    rows = Rows(len(d_values) * len(s_values), build,
+                any(alpha["flag"] == "MISMATCH" for alpha in alphas))
     return rows, CLASSIFY_ORACLE_COLUMNS if with_oracle else CLASSIFY_COLUMNS
 
 
-def cmd_classify(args, config: RunConfig) -> tuple[list[dict], list[str]]:
-    return _classification_rows([args.d], [args.s], config, args.oracle)
+# ---------------------------------------------------------------------------
+# subcommands: each returns (rows, columns) and writes nothing to stdout
+# ---------------------------------------------------------------------------
+
+def cmd_classify(args, config: RunConfig) -> tuple[Rows, list[str]]:
+    return _classification_rows([args.d], range(args.s, args.s + 1), config,
+                                args.oracle)
 
 
-def cmd_table(args, config: RunConfig) -> tuple[list[dict], list[str]]:
+def cmd_table(args, config: RunConfig) -> tuple[Rows, list[str]]:
     return _classification_rows(args.d_range, args.s_range, config, args.oracle)
 
 
-def cmd_oracle(args, config: RunConfig) -> tuple[list[dict], list[str]]:
+def cmd_oracle(args, config: RunConfig) -> tuple[Rows, list[str]]:
     if args.which == "alpha":
-        return [alpha_record(args.d, args.s, config)], ALPHA_COLUMNS
+        return Rows.of([alpha_record(args.d, args.s, config)]), ALPHA_COLUMNS
     row = measurement_record(args.which, args.k, args.r, args.s, config)
-    return [row], H_COLUMNS
+    return Rows.of([row]), H_COLUMNS
 
 
-def cmd_xi(args, config: RunConfig) -> tuple[list[dict], list[str]]:
+def cmd_xi(args, config: RunConfig) -> tuple[Rows, list[str]]:
     result = atlas.two_component_points(args.m, args.dmax)
     certified = args.m <= 17
     if not certified:
@@ -325,23 +485,21 @@ def cmd_xi(args, config: RunConfig) -> tuple[list[dict], list[str]]:
         record = asdict(pt)
         record["certified"] = certified
         rows.append(record)
-    return rows, XI_COLUMNS
+    return Rows.of(rows), XI_COLUMNS
 
 
-def cmd_geography(args, config: RunConfig) -> tuple[list[dict], list[str]]:
-    rows = [{"kind": "line", **asdict(line),
-             "s": None, "chi": None, "c1sq": None, "deformation": None}
-            for line in atlas.geography_lines(args.d_range)]
+def cmd_geography(args, config: RunConfig) -> tuple[Rows, list[str]]:
+    lines = [{"kind": "line", **asdict(line),
+              "s": None, "chi": None, "c1sq": None, "deformation": None}
+             for line in atlas.geography_lines(args.d_range)]
+    points = []
     for d in args.d_range:
-        for s in range(1, zones(d).cover_yes_max + 1):
-            pair = BlowupPair(d, s)
-            inv = invariants.cover_invariants(pair)
-            rows.append({
-                "kind": "point", "d": d, "intercept": None,
-                "x_min": None, "x_max": None,
-                "s": s, "chi": inv.chi, "c1sq": inv.c1sq,
-                "deformation": classify(pair).deformation.value,
-            })
+        def record_at(s, d=d):
+            return _point_record(d, s)
+        points.extend(_SteppedRun(record_at, run, {})
+                      for run in s_runs(d, range(1, zones(d).cover_yes_max + 1)))
+    rows = Rows(len(lines) + sum(map(len, points)),
+                lambda: chain(lines, chain.from_iterable(points)))
     return rows, GEOGRAPHY_COLUMNS
 
 
@@ -357,9 +515,9 @@ def _add_run_options(parser: argparse.ArgumentParser, top: bool) -> None:
     parser.add_argument("--seed", type=_int_literal, default=d(None),
                         help="RNG seed (any base; default env CANGEO_SEED, "
                              "then 0xC0FFEE)")
-    parser.add_argument("--trials", type=int, default=d(fatpoints.DEFAULT_TRIALS),
+    parser.add_argument("--trials", type=int, default=d(DEFAULT_TRIALS),
                         help="independent point configurations per oracle call")
-    parser.add_argument("--prime", type=int, default=d(fatpoints.DEFAULT_PRIME),
+    parser.add_argument("--prime", type=int, default=d(DEFAULT_PRIME),
                         help="field modulus, a prime p with 10^6 < p <= "
                              "3037000499 (where int64 products of residues "
                              "stay exact)")
@@ -422,7 +580,7 @@ def _resolve_config(parser: argparse.ArgumentParser, args) -> RunConfig:
     if seed is None:
         raw = os.environ.get("CANGEO_SEED")
         if raw is None:
-            seed = fatpoints.DEFAULT_SEED
+            seed = DEFAULT_SEED
         else:
             try:
                 seed = _int_literal(raw)
@@ -432,9 +590,9 @@ def _resolve_config(parser: argparse.ArgumentParser, args) -> RunConfig:
         parser.error("seed must be nonnegative")
     if args.trials < 1:
         parser.error("trials must be at least 1")
-    if not MIN_PRIME < args.prime <= fatpoints.MAX_PRIME or not _is_prime(args.prime):
+    if not MIN_PRIME < args.prime <= MAX_PRIME or not _is_prime(args.prime):
         parser.error(f"prime must be a prime p with {MIN_PRIME} < p <= "
-                     f"{fatpoints.MAX_PRIME}")
+                     f"{MAX_PRIME}")
     return RunConfig(seed=seed, trials=args.trials, prime=args.prime)
 
 
@@ -462,7 +620,7 @@ def main(argv=None) -> int:
     try:
         rows, columns = COMMANDS[args.command](args, config)
     except ValueError as exc:
-        # no row has been written yet, so stdout stays empty on exit 2
+        # nothing has been written yet, so stdout stays empty on exit 2
         parser.error(str(exc))
     try:
         emit(rows, columns, args.output_format,
@@ -473,10 +631,7 @@ def main(argv=None) -> int:
         # interpreter's final flush of the buffered rest cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED
-    if any(row.get("flag") == "MISMATCH" or row.get("oracle_flag") == "MISMATCH"
-           for row in rows):
-        return EXIT_MISMATCH
-    return EXIT_OK
+    return EXIT_MISMATCH if rows.mismatch else EXIT_OK
 
 
 if __name__ == "__main__":

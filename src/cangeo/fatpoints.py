@@ -16,16 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_PRIME = 2147483647  # 2**31 - 1
-DEFAULT_SEED = 0xC0FFEE
-DEFAULT_TRIALS = 5
-# Products of two residues are formed in int64 and reduced mod p before the
-# next multiply, so no intermediate exceeds (p-1)**2 in size.  That is exact
-# while (p-1)**2 < 2**63, which holds for every p <= MAX_PRIME.  The block
-# elimination also needs p < 2**32 (see _submul_mod_p), which follows.
-# MAX_PRIME is that bound, not a prime (13 * 233615423); the largest prime
-# accepted is 3037000493.
-MAX_PRIME = 3037000499
+from .defaults import DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, MAX_PRIME
+
 # Cap on the entries of any matrix the oracle allocates (int64: 128 MiB).
 MAX_MATRIX_ENTRIES = 2 ** 24
 # Cap on rows * cols * min(rows, cols), the order of the multiply-adds one

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -271,21 +272,36 @@ def test_oracle_flag_mismatch_exits_3(capsys, monkeypatch):
     assert row["oracle_flag"] == "MISMATCH"
 
 
-def test_closed_stdout_exits_1_without_traceback():
-    # ~1.3 MB of csv, far past a pipe buffer, so a write meets the closed end
+def _close_after_first_line(argv, head):
+    """Run the CLI, close its stdout after the first line; (exit code, stderr)."""
     env = dict(os.environ)
     env.pop("CANGEO_SEED", None)
     proc = subprocess.Popen(
-        RUN + ["table", "--d", "2..40", "--s", "1..400", "--format", "csv"],
+        RUN + list(argv),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     try:
-        assert proc.stdout.readline().startswith(b"d,s,")
+        assert proc.stdout.readline().startswith(head)
         proc.stdout.close()
         _, err = proc.communicate(timeout=30)
     finally:
         proc.kill()
         proc.wait()
-    assert proc.returncode == 1
+    return proc.returncode, err
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # ~1.3 MB of csv, far past a pipe buffer, so a write meets the closed end
+    code, err = _close_after_first_line(
+        ["table", "--d", "2..40", "--s", "1..400", "--format", "csv"], b"d,s,")
+    assert code == 1
+    assert b"Traceback" not in err
+
+
+def test_closed_stdout_mid_json_stream_exits_1_without_traceback():
+    # ~3 MB of json written chunk by chunk
+    code, err = _close_after_first_line(
+        ["geography", "--d", "2..60", "--format", "json"], b"[")
+    assert code == 1
     assert b"Traceback" not in err
 
 
@@ -436,3 +452,86 @@ def test_table_format_aligns_columns(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("d")
     assert len(lines) == 3
+
+
+# --- streamed output ------------------------------------------------------
+
+def _json_rows(n):
+    return [{"d": i, "slope": Fraction(i, 7), "mu": None, "certified": i % 2 == 0,
+             "rule": "s <= (d^2-d+2)/2, \"q\"",
+             "scroll_witness": {"r": i, "l": None, "a": Fraction(1, i + 1)}}
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [0, 1, cli.JSON_CHUNK_ROWS - 1, cli.JSON_CHUNK_ROWS,
+                               cli.JSON_CHUNK_ROWS + 1, 2 * cli.JSON_CHUNK_ROWS + 5])
+def test_chunked_json_equals_one_dump_of_the_list(n):
+    rows = _json_rows(n)
+    out = io.StringIO()
+    cli._write_json_array(out, iter(rows))
+    assert out.getvalue() == json.dumps(rows, indent=2, sort_keys=True, default=str)
+
+
+def test_table_format_takes_two_passes_over_a_plan(capsys):
+    # a plan builds its rows on each pass; the table format takes two
+    passes = []
+
+    def build():
+        passes.append(1)
+        return iter(_json_rows(3))
+
+    rows = cli.Rows(3, build)
+    assert len(rows) == 3
+    cli.emit(rows, ["d", "slope", "certified", "scroll_witness_a"], "table")
+    out = capsys.readouterr().out
+    assert len(passes) == 2
+    assert out.splitlines()[1].split() == ["0", "0", "true", "1"]
+
+
+# Spawns the command and prints its exit code and peak RSS in KiB.  Linux
+# counts the RSS a process had before exec in its peak, and a spawned child
+# starts in a copy of its parent; so the command is spawned from this small
+# interpreter, not from the test process.
+_PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_geography_streams_in_flat_memory(fmt):
+    # ~25 MB of csv; holding every row took 380 MB (csv) and 1.1 GB (json)
+    env = dict(os.environ)
+    env.pop("CANGEO_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, *RUN,
+         "geography", "--d", "2..200", "--format", fmt],
+        capture_output=True, env=env, check=True)
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kib < 60 * 1024
+
+
+# --- numpy only for the oracle --------------------------------------------
+
+def test_closed_forms_never_import_numpy():
+    code = """
+import contextlib, io, sys
+import cangeo, cangeo.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["geography", "--d", "2..9"], ["table", "--d", "2..9", "--s", "1..50"],
+                 ["classify", "4", "9"], ["xi", "--m", "5", "--dmax", "100"]):
+        assert cangeo.cli.main(argv + ["--format", "csv"]) == 0
+assert "numpy" not in sys.modules, "numpy imported"
+for name in cangeo.__all__:
+    getattr(cangeo, name)
+assert "numpy" in sys.modules
+namespace = {}
+exec("from cangeo import *", namespace)
+assert set(cangeo.__all__) <= set(namespace)
+assert namespace["alpha_rank"] is sys.modules["cangeo.fatpoints"].alpha_rank
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
