@@ -126,8 +126,10 @@ def _submul_mod_p(C: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int) -> None:
 
     Each factor is split into 16-bit limbs, so a product of limbs is below
     2**32.  The inner dimension is a rank, at most 1625 under
-    MAX_ELIMINATION_WORK, so every float64 sum stays below 2**43 (2**44
-    for the two cross terms together), exact under 2**53.  The limbs are
+    MAX_ELIMINATION_WORK, or the length of a V_{d-1} vector in
+    _kernel_flag, at most 1891 under alpha_rank's checks, so every
+    float64 sum stays below 2**43 (2**44 for the two cross terms
+    together), exact under 2**53.  The limbs are
     recombined by Horner's rule in int64: X @ Y = (hh * 2**16 + mid) * 2**16
     + ll, each stage below 2**49 before its reduction.
     """
@@ -373,6 +375,63 @@ def _prefix_ranks(matrix: np.ndarray, counts, p: int) -> np.ndarray:
     return np.searchsorted(pivots, counts)
 
 
+def _product_matrix(kernel: np.ndarray, maps, n_high: int) -> np.ndarray:
+    """Matrix of the multiplication map on the span of the kernel rows:
+    row 3t + w is kernel row t times the w-th of x, y, z, in the degree-d
+    monomial basis."""
+    _check_size(3 * kernel.shape[0], n_high)
+    prod = np.zeros((3 * kernel.shape[0], n_high), dtype=np.int64)
+    for w, col_map in enumerate(maps):
+        prod[w::3, col_map] = kernel
+    return prod
+
+
+def _alpha_at(mat_low: np.ndarray, s: int, maps, n_high: int,
+              p: int) -> tuple[int, int]:
+    """(rank, dim_source) at the first s points, eliminated for s alone."""
+    kernel = kernel_basis_mod_p(mat_low[:s], p)
+    if kernel.shape[0] == 0:
+        return 0, 0
+    prod = _product_matrix(kernel, maps, n_high)
+    return rank_mod_p(prod, p), prod.shape[0]
+
+
+def _kernel_flag(mat_low: np.ndarray, s0: int, p: int):
+    """Kernels of the prefixes mat_low[:s], s >= s0, in one flag basis.
+
+    Returns (flag, left), left ascending: for every s >= s0, the kernel
+    of mat_low[:s] is spanned by the first len(flag) - (entries of left
+    that are <= s) rows of flag.
+
+    The kernel at s0 comes from kernel_basis_mod_p.  The later rows are
+    then taken a block at a time, as many as the kernel has vectors (a
+    block that empties it when the points are general).  One echelon of
+    [values at the block's rows | kernel] gives a basis whose pivot rows
+    each vanish on the block before their pivot and not at it, and whose
+    other rows vanish on the whole block: each row of mat_low removes at
+    most one vector, and the ones kept span the kernel of the longer
+    prefix.  The flag is the final kernel, then the removed vectors from
+    last to first.  (_submul_mod_p negates the values; no pivot moves.)
+    """
+    kernel = kernel_basis_mod_p(mat_low[:s0], p)
+    removed, left = [], []
+    s = s0
+    while kernel.shape[0] and s < mat_low.shape[0]:
+        block = mat_low[s:s + kernel.shape[0]]
+        (k, n), m = kernel.shape, block.shape[0]
+        _check_size(k, m + n)
+        rows = np.zeros((k, m + n), dtype=np.int64)
+        rows[:, m:] = kernel
+        _submul_mod_p(rows[:, :m], kernel, block.T, p)
+        A, pivots = _echelon(rows, p, reduced=False)
+        cut = int(np.searchsorted(pivots, m))
+        removed.append(A[:cut, m:][::-1])
+        left.extend(s + 1 + c for c in pivots[:cut])
+        kernel = A[cut:, m:]
+        s += m
+    return np.concatenate([kernel] + removed[::-1]), np.array(left)
+
+
 def _alpha_trial(d: int, cfg: PointConfiguration, s_values,
                  p: int) -> list[tuple[int, int, int]]:
     """(rank, dim_source, dim_target) at the first s points of cfg, for
@@ -380,39 +439,40 @@ def _alpha_trial(d: int, cfg: PointConfiguration, s_values,
 
     Both vanishing matrices are built once, for all of cfg's points.  Rows
     are point by point, so the first s rows are the matrix of the first s
-    points.
+    points.  With two or more distinct s, the V_{d-1} kernels come from
+    one flag basis (_kernel_flag), so the product matrix of the smallest
+    s holds the one of every s in its first rows, and one elimination
+    reads every rank; the last s with a nonzero kernel is measured again
+    on its own, and a disagreement raises AssertionError.  A single s is
+    measured on its own only.
     """
     s_max = len(cfg.points)
     mat_low = vanishing_matrix(cfg, FatPointSystem(d - 1, 1, s_max), p)
     mat_high = vanishing_matrix(cfg, FatPointSystem(d, 1, s_max), p)
     n_high = mat_high.shape[1]
-    dims_target = n_high - _prefix_ranks(mat_high, s_values, p)
+    dims_target = (n_high - _prefix_ranks(mat_high, s_values, p)).tolist()
     high_index = {mon: t for t, mon in enumerate(monomial_basis(d))}
     shifts = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     maps = [np.array([high_index[(i + si, j + sj, l + sl)]
                       for (i, j, l) in monomial_basis(d - 1)])
             for (si, sj, sl) in shifts]
-    # more points can only shrink the kernel: once it is zero at some s,
-    # it is zero at every larger s
-    empty_from = float("inf")
-    out = []
-    for s, dim_target in zip(s_values, dims_target.tolist()):
-        if s >= empty_from:
-            kernel = mat_low[:0]
-        else:
-            kernel = kernel_basis_mod_p(mat_low[:s], p)
-            if kernel.shape[0] == 0:
-                empty_from = s
-        dim_source = 3 * kernel.shape[0]
-        _check_size(dim_source, n_high)
-        rank = 0
-        if dim_source:
-            prod = np.zeros((dim_source, n_high), dtype=np.int64)
-            for w, col_map in enumerate(maps):
-                prod[w::3, col_map] = kernel
-            rank = rank_mod_p(prod, p)
-        out.append((rank, dim_source, dim_target))
-    return out
+    if len(set(s_values)) == 1:
+        rank, dim_source = _alpha_at(mat_low, s_values[0], maps, n_high, p)
+        return [(rank, dim_source, t) for t in dims_target]
+    flag, left = _kernel_flag(mat_low, min(s_values), p)
+    sources = 3 * (flag.shape[0]
+                   - np.searchsorted(left, s_values, side="right"))
+    ranks = np.zeros(len(s_values), dtype=np.int64)
+    if flag.shape[0]:
+        ranks = _prefix_ranks(_product_matrix(flag, maps, n_high), sources, p)
+        s_last, entry = max((s, (rank, source)) for s, rank, source
+                            in zip(s_values, ranks.tolist(), sources.tolist())
+                            if source)
+        direct = _alpha_at(mat_low, s_last, maps, n_high, p)
+        if direct != entry:
+            raise AssertionError(f"the kernel flag gives {entry} at s = "
+                                 f"{s_last}, a direct elimination {direct}")
+    return list(zip(ranks.tolist(), sources.tolist(), dims_target))
 
 
 def _most_generic(triple: tuple[int, int, int]) -> tuple[int, int, int]:

@@ -21,6 +21,7 @@ from cangeo.fatpoints import (
     MAX_MATRIX_ENTRIES,
     MAX_PRIME,
     FatPointSystem,
+    OracleLimitError,
     PointConfiguration,
     alpha_rank,
     _alpha_trial,
@@ -453,36 +454,155 @@ def test_an_empty_kernel_is_not_eliminated(monkeypatch):
     # from s = dim V_{d-1} on, the product matrix has no rows: its rank is 0
     eliminated = []
 
-    def counting_rank(matrix, p):
-        eliminated.append(matrix.shape[0])
-        return rank_mod_p(matrix, p)
+    def counting(fn):
+        def counted(matrix, *args):
+            eliminated.append(matrix.shape[0])
+            return fn(matrix, *args)
+        return counted
 
-    monkeypatch.setattr(fatpoints, "rank_mod_p", counting_rank)
+    monkeypatch.setattr(fatpoints, "rank_mod_p", counting(rank_mod_p))
+    monkeypatch.setattr(fatpoints, "_prefix_ranks", counting(_prefix_ranks))
     column = alpha_rank(3, range(1, 9), trials=1)
     assert [entry[:2] for entry in column[5:]] == [(0, 0)] * 3
-    assert len(eliminated) == 5 and min(eliminated) > 0
+    # the kernel is empty from the first s on: only V_d is eliminated
+    assert alpha_rank(3, range(6, 9), trials=1) == [(0, 0, 4), (0, 0, 3),
+                                                    (0, 0, 2)]
+    assert eliminated and min(eliminated) > 0
 
 
-def _alpha_per_pair(d, s, trials, seed, p):
-    """The per-(d, s) measurement: draw s points, build both vanishing
-    matrices and eliminate them for this s alone, in every trial; then
-    keep the smallest (dim_source, dim_target), and the largest rank
-    among those."""
+def _alpha_reference(d, cfg, s, p):
+    """(rank, dim_source, dim_target) at the first s points of cfg, with
+    both vanishing matrices built and eliminated for this s alone."""
+    sub = PointConfiguration(points=cfg.points[:s])
     sys_low, sys_high = FatPointSystem(d - 1, 1, s), FatPointSystem(d, 1, s)
     n_high = sys_high.ambient_dim
     high_index = {mon: t for t, mon in enumerate(monomial_basis(d))}
-    triples = []
-    for t in range(trials):
-        cfg = PointConfiguration.random(s, seed, p, trial=t)
-        kernel = kernel_basis_mod_p(vanishing_matrix(cfg, sys_low, p), p)
-        prod = np.zeros((3 * kernel.shape[0], n_high), dtype=np.int64)
-        for w, shift in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
-            cols = [high_index[tuple(e + f for e, f in zip(mon, shift))]
-                    for mon in monomial_basis(d - 1)]
-            prod[w::3, cols] = kernel
-        dim_target = n_high - rank_mod_p(vanishing_matrix(cfg, sys_high, p), p)
-        triples.append((rank_mod_p(prod, p), prod.shape[0], dim_target))
+    kernel = kernel_basis_mod_p(vanishing_matrix(sub, sys_low, p), p)
+    prod = np.zeros((3 * kernel.shape[0], n_high), dtype=np.int64)
+    for w, shift in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+        cols = [high_index[tuple(e + f for e, f in zip(mon, shift))]
+                for mon in monomial_basis(d - 1)]
+        prod[w::3, cols] = kernel
+    dim_target = n_high - rank_mod_p(vanishing_matrix(sub, sys_high, p), p)
+    return rank_mod_p(prod, p), prod.shape[0], dim_target
+
+
+def _alpha_per_pair(d, s, trials, seed, p):
+    """The per-(d, s) measurement: draw s points and measure them alone,
+    in every trial; then keep the smallest (dim_source, dim_target), and
+    the largest rank among those."""
+    triples = [_alpha_reference(d, PointConfiguration.random(
+                   s, seed, p, trial=t), s, p) for t in range(trials)]
     return min(triples, key=lambda t: (t[1], t[2], -t[0]))
+
+
+_CONIC = tuple((x, x * x) for x in range(8))      # on y = x^2
+_OFF_CONIC = ((3, 100), (5, 7), (11, 2), (13, 29))
+
+
+@pytest.mark.parametrize("d, points, s_values", [
+    # collinear points cut the lower kernel only while they impose
+    # independent conditions on it
+    (3, tuple((x, 0) for x in range(8)), range(1, 9)),
+    (4, tuple((x, 0) for x in range(10)), range(1, 11)),
+    (4, tuple((x, 2 * x + 1) for x in range(7)) + _OFF_CONIC, range(1, 12)),
+    # every cubic through seven points of a conic contains it, so the
+    # eighth point does not cut; points off the conic cut again
+    (4, _CONIC, range(1, 9)),
+    (4, _CONIC + _OFF_CONIC, range(1, 13)),
+    (5, _CONIC + _OFF_CONIC, range(2, 13)),
+    # the kernel empties mid-range (general points, dim V_3 = 10)
+    (4, PointConfiguration.random(20, 0xC0FFEE).points, range(1, 21)),
+    # unsorted and repeated s
+    (4, _CONIC + _OFF_CONIC, [9, 3, 3, 12, 5, 9, 1]),
+    (6, PointConfiguration.random(30, 0x5EED5).points, [25, 4, 4, 17, 30]),
+], ids=["line-d3", "line-d4", "line-then-off", "conic", "conic-then-off",
+        "conic-then-off-d5", "empties", "unsorted-special",
+        "unsorted-general"])
+def test_kernel_flag_equals_each_prefix_measured_alone(d, points, s_values):
+    cfg = PointConfiguration(points=points[:max(s_values)])
+    assert _alpha_trial(d, cfg, s_values, P) == [
+        _alpha_reference(d, cfg, s, P) for s in s_values]
+
+
+def test_a_column_costs_a_fixed_number_of_eliminations(monkeypatch):
+    calls = {"rref_mod_p": 0, "rank_mod_p": 0, "_echelon": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(fatpoints, name), _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(fatpoints, name, counted)
+    counts = []
+    for s_values in (range(1, 11), range(1, 41)):
+        calls.update(dict.fromkeys(calls, 0))
+        alpha_rank(8, s_values, trials=1)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[1]["rref_mod_p"] <= 2 and counts[1]["rank_mod_p"] <= 2
+
+
+def test_the_last_nonzero_kernel_is_measured_again(monkeypatch):
+    real, measured = fatpoints._alpha_at, []
+
+    def off_by_one(mat_low, s, *rest):
+        measured.append(s)
+        rank, dim_source = real(mat_low, s, *rest)
+        return rank + 1, dim_source
+
+    monkeypatch.setattr(fatpoints, "_alpha_at", off_by_one)
+    cfg = PointConfiguration.random(12, 0xC0FFEE)
+    # dim V_3 = 10: the kernel is zero from s = 10 on
+    with pytest.raises(AssertionError, match="s = 9"):
+        _alpha_trial(4, cfg, range(1, 13), P)
+    assert measured == [9]
+    # a single s is measured once, on its own
+    measured.clear()
+    assert len(_alpha_trial(4, cfg, [5, 5], P)) == 2
+    assert measured == [5]
+
+
+def _largest_checked(monkeypatch, run):
+    """Largest rows*cols passed to _check_size, and rows*cols*min(rows,
+    cols) passed to _check_work, while run() runs."""
+    largest = {"_check_size": 0, "_check_work": 0}
+    for name in largest:
+        def recorded(rows, cols, _fn=getattr(fatpoints, name), _name=name):
+            size = rows * cols * (min(rows, cols) if _name == "_check_work"
+                                  else 1)
+            largest[_name] = max(largest[_name], size)
+            return _fn(rows, cols)
+        monkeypatch.setattr(fatpoints, name, recorded)
+    run()
+    monkeypatch.undo()
+    return largest
+
+
+@pytest.mark.parametrize("d, s_values", [
+    (3, range(1, 9)), (8, range(1, 41)), (12, range(30, 81)),
+    (30, range(200, 206))])
+def test_the_flag_pass_checks_no_larger_matrix(monkeypatch, d, s_values):
+    cfg = PointConfiguration.random(max(s_values), 0xC0FFEE)
+    column = _largest_checked(
+        monkeypatch, lambda: _alpha_trial(d, cfg, s_values, P))
+    per_s = _largest_checked(
+        monkeypatch, lambda: [_alpha_trial(d, cfg, [s], P) for s in s_values])
+    assert column["_check_size"] <= per_s["_check_size"]
+    assert column["_check_work"] <= per_s["_check_work"]
+
+
+def test_a_column_over_a_cap_names_its_first_s(monkeypatch):
+    # at d = 53, s = 1947 passes both caps and 1948 is the first over one
+    def reached(*args):
+        raise LookupError("measured")
+
+    with pytest.raises(OracleLimitError) as first:
+        alpha_rank(53, [1948])
+    with pytest.raises(OracleLimitError) as column:
+        alpha_rank(53, range(800, 2001))
+    assert str(column.value) == str(first.value)
+    monkeypatch.setattr(fatpoints, "_alpha_trial", reached)
+    with pytest.raises(LookupError):
+        alpha_rank(53, range(800, 1948))
 
 
 @pytest.mark.parametrize("trials, seed, p", [
