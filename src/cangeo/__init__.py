@@ -37,7 +37,8 @@ from .classify import (
     very_ample,
     zone_rule,
 )
-from .defaults import DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, MAX_PRIME
+from .defaults import (DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, MAX_PRIME,
+                       MAX_TRIALS)
 from .invariants import (
     ModuliDims,
     SurfaceInvariants,
@@ -96,6 +97,7 @@ __all__ = [
     "MAX_ELIMINATION_WORK",
     "MAX_MATRIX_ENTRIES",
     "MAX_PRIME",
+    "MAX_TRIALS",
     "ModuliDims",
     "OracleLimitError",
     "PointConfiguration",

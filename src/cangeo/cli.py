@@ -32,7 +32,8 @@ from itertools import chain, islice
 from . import atlas, invariants
 from .classify import (BlowupPair, DeformationClass, TriState, alpha_surjective, classify,
                        s_runs, smooth_cover_exists, zone_rule, zones)
-from .defaults import DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, MAX_PRIME
+from .defaults import (DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, MAX_PRIME,
+                       MAX_TRIALS)
 
 EXIT_OK = 0
 EXIT_CLOSED = 1
@@ -516,7 +517,8 @@ def _add_run_options(parser: argparse.ArgumentParser, top: bool) -> None:
                         help="RNG seed (any base; default env CANGEO_SEED, "
                              "then 0xC0FFEE)")
     parser.add_argument("--trials", type=int, default=d(DEFAULT_TRIALS),
-                        help="independent point configurations per oracle call")
+                        help="independent point configurations per oracle call "
+                             f"(at most {MAX_TRIALS})")
     parser.add_argument("--prime", type=int, default=d(DEFAULT_PRIME),
                         help="field modulus, a prime p with 10^6 < p <= "
                              "3037000499 (where int64 products of residues "
@@ -590,6 +592,8 @@ def _resolve_config(parser: argparse.ArgumentParser, args) -> RunConfig:
         parser.error("seed must be nonnegative")
     if args.trials < 1:
         parser.error("trials must be at least 1")
+    if args.trials > MAX_TRIALS:
+        parser.error(f"trials must be at most {MAX_TRIALS}")
     if not MIN_PRIME < args.prime <= MAX_PRIME or not _is_prime(args.prime):
         parser.error(f"prime must be a prime p with {MIN_PRIME} < p <= "
                      f"{MAX_PRIME}")

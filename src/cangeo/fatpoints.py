@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, MAX_PRIME
+from .defaults import (DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, MAX_PRIME,
+                       MAX_TRIALS)
 
 # Cap on the entries of any matrix the oracle allocates (int64: 128 MiB).
 MAX_MATRIX_ENTRIES = 2 ** 24
@@ -26,13 +27,22 @@ MAX_ELIMINATION_WORK = 2 ** 32
 
 
 class OracleLimitError(ValueError):
-    """A modulus or a system beyond the oracle's exact range or memory cap."""
+    """A modulus, a system or a trial count beyond the oracle's exact range
+    or its caps."""
 
 
 def _check_modulus(p: int) -> None:
     if p > MAX_PRIME:
         raise OracleLimitError(f"modulus {p} is above {MAX_PRIME}, where "
                                "int64 products of residues overflow")
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if trials > MAX_TRIALS:
+        raise OracleLimitError(f"{trials} trials exceed the oracle's cap of "
+                               f"{MAX_TRIALS}")
 
 
 def _check_size(rows: int, cols: int) -> None:
@@ -49,38 +59,42 @@ def _check_work(rows: int, cols: int) -> None:
 
 
 # Rows from which _echelon reduces by row blocks instead of the pivot loop.
-# Measured on a 2-core host, one elimination of a vanishing matrix: the
-# block path takes 0.5x the loop's wall time at 330 rows and 0.35x at 450,
-# but 0.6x at 240-250 rows, where it costs about as much CPU time as the
-# loop (a second BLAS thread spins between the products).
-_BLOCK_MIN_ROWS = 256
-# Rows at which the block recursion stops and runs the pivot loop: 16 to
-# 32 measured alike at 240-1500 rows; 48 and 64 were 1.2-1.6x slower at
-# 1440-1500.
+# Measured on a 2-core host, one rank of a vanishing matrix, block path
+# against the loop: 1.1-1.3x the loop's wall time at 48-66 rows, 0.9-1.05x
+# at 80-100, 0.7-0.85x at 112-120 and 0.4-0.5x at 160-200, with no more
+# CPU time.
+_BLOCK_MIN_ROWS = 128
+# Rows at which the block recursion stops and reduces a leaf: 32 and 48
+# measured alike at 140-1500 rows; 16 and 24 were 3-15 % slower at 240-450,
+# and 64 1.3-1.4x slower at 240-250.
 _BLOCK_LEAF_ROWS = 32
 # Columns per product panel: the float64 and int64 temporaries of a panel
 # stay under 4 MiB each at every size the elimination cap allows.
 _PANEL_COLS = 256
 
 
-def _echelon(matrix: np.ndarray, p: int, reduced: bool):
-    """Row echelon form over Z/pZ; returns (A, pivot columns).
+def _echelon(matrix: np.ndarray, p: int, form: str):
+    """Row echelon form over Z/pZ; returns (A, pivot columns in order).
 
-    With `reduced`, A is the reduced row echelon form: the pivot rows,
-    ordered by pivot column, then zero rows.  Without it only the pivot
-    columns are defined; A is some echelon form of the input.  The form is
-    unique, so the block path (from _BLOCK_MIN_ROWS rows) and the pivot
-    loop return the same A whenever `reduced` is set.
+    `form` is what the caller reads of A.  "reduced": the reduced row
+    echelon form, the pivot rows ordered by pivot column, then zero rows.
+    "echelon": some row echelon form, the pivot rows in the same order,
+    each zero left of its pivot.  "rank": nothing, only the pivot columns.
+    The pivot loop (below _BLOCK_MIN_ROWS rows) and the block path return
+    the same pivot columns, and the same A for "reduced", since that form
+    is unique.
     """
     _check_modulus(p)
     A = np.asarray(matrix, dtype=np.int64)
     rows, cols = A.shape
     _check_work(rows, cols)
     A = A % p
-    if rows >= _BLOCK_MIN_ROWS:
-        A = np.ascontiguousarray(A)     # a transpose arrives column-major
-        return A, _block_rref(A, p)
-    return A, _pivot_loop(A, p, reduced)
+    if rows < _BLOCK_MIN_ROWS:
+        return A, _pivot_loop(A, p, reduced=form == "reduced")
+    A = np.ascontiguousarray(A)     # a transpose arrives column-major
+    if form == "rank":
+        return A, sorted(_reduce_rows(A, p, rank_only=True))
+    return A, _block_rref(A, p)
 
 
 def _pivot_loop(A: np.ndarray, p: int, reduced: bool) -> list[int]:
@@ -126,8 +140,9 @@ def _submul_mod_p(C: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int) -> None:
 
     Each factor is split into 16-bit limbs, so a product of limbs is below
     2**32.  The inner dimension is a rank, at most 1625 under
-    MAX_ELIMINATION_WORK, or the length of a V_{d-1} vector in
-    _kernel_flag, at most 1891 under alpha_rank's checks, so every
+    MAX_ELIMINATION_WORK, or a leaf's rows, at most _BLOCK_LEAF_ROWS, or
+    the length of a V_{d-1} vector in _kernel_flag, at most 1891 under
+    alpha_rank's checks, so every
     float64 sum stays below 2**43 (2**44 for the two cross terms
     together), exact under 2**53.  The limbs are
     recombined by Horner's rule in int64: X @ Y = (hh * 2**16 + mid) * 2**16
@@ -149,21 +164,49 @@ def _submul_mod_p(C: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int) -> None:
         panel %= p
 
 
-def _reduce_rows(A: np.ndarray, p: int) -> list[int]:
+def _reduce_leaf(A: np.ndarray, p: int) -> list[int]:
+    """_reduce_rows on m <= _BLOCK_LEAF_ROWS rows.
+
+    The pivot loop runs on a narrow panel, [the first 2m live columns |
+    I_m], whose last m columns then hold the row operations T.  When all m
+    pivots land in the first 2m columns, T @ A is the reduced form, and one
+    product of inner dimension m writes it, in place of m passes of the
+    loop over every column.  Otherwise (rank below m, or pivots further
+    right) the panel widens to every live column, and the loop's result is
+    the reduced form itself.
+    """
+    m = A.shape[0]
+    # the loop scans columns one by one: skip the zero ones
+    live = np.flatnonzero(A.any(axis=0))
+    block = A[:, live]
+    if live.size > 2 * m:
+        panel = np.hstack((block[:, :2 * m], np.eye(m, dtype=np.int64)))
+        pivots = _pivot_loop(panel, p, reduced=True)
+        if pivots[-1] < 2 * m:
+            reduced = np.zeros_like(block)
+            _submul_mod_p(reduced, -panel[:, 2 * m:] % p, block, p)
+            A[:, live] = reduced
+            return live[pivots].tolist()
+    pivots = _pivot_loop(block, p, reduced=True)
+    A[:, live] = block
+    return live[pivots].tolist()
+
+
+def _reduce_rows(A: np.ndarray, p: int, rank_only: bool = False) -> list[int]:
     """Reduce the residues A in place to a reduced basis of its row space;
     returns its pivot columns.
 
-    Afterwards A holds the basis rows, row t with a 1 at pivots[t] and 0 at
-    the other pivots, then zero rows.  The pivots are in no fixed order.
+    Afterwards A holds the basis rows, row t with a 1 at pivots[t] and 0
+    left of it and at the other pivots, then zero rows.  The pivots are in
+    no fixed order.  With `rank_only` only the pivot columns are defined:
+    the bottom half is reduced rank-only too, and neither cleared out of
+    the top nor moved up.  The top half's basis and the bottom half's lead
+    at distinct columns, so their union is still the pivot set of the
+    reduced row echelon form.
     """
     rows = A.shape[0]
     if rows <= _BLOCK_LEAF_ROWS:
-        # the loop scans columns one by one: skip the zero ones
-        live = np.flatnonzero(A.any(axis=0))
-        block = A[:, live]
-        pivots = _pivot_loop(block, p, reduced=True)
-        A[:, live] = block
-        return live[pivots].tolist()
+        return _reduce_leaf(A, p)
     half = rows // 2
     top, bottom = A[:half], A[half:]
     piv1 = _reduce_rows(top, p)
@@ -171,7 +214,9 @@ def _reduce_rows(A: np.ndarray, p: int) -> list[int]:
     if piv1:
         # E1 is the identity on piv1, so this clears piv1 out of the bottom
         _submul_mod_p(bottom, bottom[:, piv1], E1, p)
-    piv2 = _reduce_rows(bottom, p)
+    piv2 = _reduce_rows(bottom, p, rank_only)
+    if rank_only:
+        return piv1 + piv2
     E2 = bottom[:len(piv2)]
     if piv1 and piv2:
         # E2 is zero on piv1 and the identity on piv2
@@ -198,12 +243,12 @@ def _block_rref(A: np.ndarray, p: int) -> list[int]:
 
 def rank_mod_p(matrix: np.ndarray, p: int = DEFAULT_PRIME) -> int:
     """Rank of an integer matrix over Z/pZ by Gaussian elimination."""
-    return len(_echelon(matrix, p, reduced=False)[1])
+    return len(_echelon(matrix, p, "rank")[1])
 
 
 def rref_mod_p(matrix: np.ndarray, p: int = DEFAULT_PRIME):
     """Reduced row echelon form over Z/pZ; returns (R, pivot columns)."""
-    return _echelon(matrix, p, reduced=True)
+    return _echelon(matrix, p, "reduced")
 
 
 def kernel_basis_mod_p(matrix: np.ndarray, p: int = DEFAULT_PRIME) -> np.ndarray:
@@ -352,8 +397,7 @@ def h0_fatpoints(system: FatPointSystem, trials: int = DEFAULT_TRIALS,
     configuration can only enlarge the kernel, never shrink it, so the
     minimum is the generic value unless every trial was unlucky.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check_trials(trials)
     _check_size(system.conditions, system.ambient_dim)   # before the draw
     _check_work(system.conditions, system.ambient_dim)
     best = None
@@ -371,7 +415,7 @@ def _prefix_ranks(matrix: np.ndarray, counts, p: int) -> np.ndarray:
     in the span of the rows above them, so the rank of the first s rows
     is the number of pivots below s.
     """
-    pivots = _echelon(matrix.T, p, reduced=False)[1]
+    pivots = _echelon(matrix.T, p, "rank")[1]
     return np.searchsorted(pivots, counts)
 
 
@@ -423,7 +467,7 @@ def _kernel_flag(mat_low: np.ndarray, s0: int, p: int):
         rows = np.zeros((k, m + n), dtype=np.int64)
         rows[:, m:] = kernel
         _submul_mod_p(rows[:, :m], kernel, block.T, p)
-        A, pivots = _echelon(rows, p, reduced=False)
+        A, pivots = _echelon(rows, p, "echelon")
         cut = int(np.searchsorted(pivots, m))
         removed.append(A[:cut, m:][::-1])
         left.extend(s + 1 + c for c in pivots[:cut])
@@ -507,8 +551,7 @@ def alpha_rank(d: int, s_values, trials: int = DEFAULT_TRIALS,
     s_values = list(s_values)
     if not s_values or min(s_values) < 1:
         raise ValueError("need at least one point")
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check_trials(trials)
     n_high = FatPointSystem(d, 1, 1).ambient_dim
     # Before anything is drawn: the larger vanishing matrix, and the
     # product matrix, which has at least 3 * expected_h0 of the lower

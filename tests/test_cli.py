@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from cangeo import cli
+from cangeo.defaults import MAX_TRIALS
 
 RUN = [sys.executable, "-m", "cangeo"]
 
@@ -425,6 +426,33 @@ def test_elimination_work_over_the_cap_exits_2():
 def test_trials_validation():
     assert run_cli("oracle", "h0", "--k", "4", "--r", "1", "--s", "2",
                    "--trials", "0").returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "h0", "--k", "5", "--r", "2", "--s", "3"),
+    ("oracle", "h1", "--k", "5", "--r", "2", "--s", "3"),
+    ("oracle", "alpha", "--d", "3", "--s", "2"),
+    ("table", "--d", "2..3", "--s", "1..3", "--oracle"),
+], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
+def test_trials_above_the_cap_exit_2_with_empty_stdout(capsys, argv):
+    code, out, _ = run_main(capsys, *argv, "--trials", str(MAX_TRIALS),
+                            "--format", "csv")
+    assert code == 0 and out
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--trials", str(MAX_TRIALS + 1), "--format", "csv"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"trials must be at most {MAX_TRIALS}" in out.err
+
+
+def test_a_huge_trial_count_exits_2_at_once():
+    # each of these ran past 20 s before the cap, growing with the count
+    for argv in (("oracle", "h0", "--k", "5", "--r", "2", "--s", "3"),
+                 ("classify", "4", "9", "--oracle")):
+        proc = run_cli(*argv, "--trials", "100000000", timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
 
 
 def test_output_is_deterministic():

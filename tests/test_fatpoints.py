@@ -20,6 +20,7 @@ from cangeo.fatpoints import (
     MAX_ELIMINATION_WORK,
     MAX_MATRIX_ENTRIES,
     MAX_PRIME,
+    MAX_TRIALS,
     FatPointSystem,
     OracleLimitError,
     PointConfiguration,
@@ -207,19 +208,29 @@ PRIMES = (5, 7, 1000003, 2 ** 31 - 1, 3037000493)
 
 
 @st.composite
-def structured_matrices(draw):
-    """(matrix of residues, p) with 1-80 rows, so the block recursion and
-    its leaves run at small sizes: full or rank-deficient products, with
-    zero rows, repeated rows and zero columns."""
+def structured_matrices(draw, rows=(1, 80), cols=(1, 40)):
+    """(matrix of residues, p), by default with 1-80 rows, so the block
+    recursion and its leaves run at small sizes: full or rank-deficient
+    products, with zero rows, repeated rows and zero columns, and leading
+    columns of low rank, where a leaf's first 2m live columns hold fewer
+    than m pivots."""
     p = draw(st.sampled_from(PRIMES))
-    rows, cols = draw(st.integers(1, 80)), draw(st.integers(1, 40))
+    rows, cols = draw(st.integers(*rows)), draw(st.integers(*cols))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+
+    def product(width):
+        # rank at most `inner`; small left factors keep int64 exact
+        inner = draw(st.integers(0, min(rows, width)))
+        return rng.integers(0, 4, (rows, inner)) @ rng.integers(
+            0, p, (inner, width)) % p
+
     if draw(st.booleans()):
         mat = rng.integers(0, p, (rows, cols))
     else:
-        # rank at most `inner`; small left factors keep int64 exact
-        inner = draw(st.integers(0, min(rows, cols)))
-        mat = rng.integers(0, 4, (rows, inner)) @ rng.integers(0, p, (inner, cols)) % p
+        mat = product(cols)
+    if draw(st.booleans()):
+        band = draw(st.integers(1, cols))
+        mat[:, :band] = product(band)
     mat[rng.random(rows) < draw(st.sampled_from((0, 0.3)))] = 0
     mat[:, rng.random(cols) < draw(st.sampled_from((0, 0.3)))] = 0
     if draw(st.booleans()):
@@ -239,28 +250,50 @@ def test_block_path_equals_the_pivot_loop(case):
     assert np.array_equal(by_blocks, by_loop)
 
 
+@settings(deadline=None, max_examples=30)
+@given(structured_matrices(rows=(128, 400), cols=(1, 400)))
+def test_rank_only_blocks_equal_the_pivot_loop(case):
+    # matrices from the gate up, tall or wide: the rank-only recursion
+    # must find the pivot loop's pivot columns, for the rows and, through
+    # _prefix_ranks, for the columns
+    mat, p = case
+    assert mat.shape[0] >= fatpoints._BLOCK_MIN_ROWS
+    row_pivots = _pivot_loop(mat.copy(), p, reduced=False)
+    col_pivots = _pivot_loop(mat.T.copy(), p, reduced=False)
+    assert rank_mod_p(mat, p) == len(row_pivots)
+    counts = list(range(0, mat.shape[0] + 1, 7)) + [mat.shape[0]]
+    assert _prefix_ranks(mat, counts, p).tolist() == np.searchsorted(
+        col_pivots, counts).tolist()
+    assert _prefix_ranks(mat.T, [mat.shape[1]], p).tolist() == [
+        len(row_pivots)]
+
+
 def test_public_functions_above_the_block_gate(monkeypatch):
     # the widest ladder system (450 x 861, rank 450), with 100 repeated
     # rows appended (rank-deficient), and its transpose (861 rows, 411 of
-    # them zero in the reduced form) through _prefix_ranks
+    # them zero in the reduced form) through _prefix_ranks; and the
+    # 250 x 276 rung, which only a gate below 256 sends to the blocks
     cfg = PointConfiguration.random(30, seed=0xC0FFEE)
     mat = vanishing_matrix(cfg, FatPointSystem(40, 5, 30), P)
     tall = np.vstack([mat, mat[:100] * 3 % P])
+    rung = vanishing_matrix(PointConfiguration(points=cfg.points[:25]),
+                            FatPointSystem(22, 4, 25), P)
     counts = [0, 1, 100, 300, 450, 600, 861]
 
     def measure():
-        return (rank_mod_p(mat, P), rank_mod_p(tall, P), rref_mod_p(tall, P),
-                kernel_basis_mod_p(mat, P), _prefix_ranks(mat, counts, P))
+        return (rank_mod_p(mat, P), rank_mod_p(tall, P), rank_mod_p(rung, P),
+                rref_mod_p(tall, P), kernel_basis_mod_p(mat, P),
+                _prefix_ranks(mat, counts, P))
 
-    assert min(mat.shape) >= fatpoints._BLOCK_MIN_ROWS
+    assert fatpoints._BLOCK_MIN_ROWS <= min(rung.shape) < min(mat.shape)
     by_blocks = measure()
     monkeypatch.setattr(fatpoints, "_BLOCK_MIN_ROWS", 10 ** 9)
     by_loop = measure()
-    assert by_blocks[:2] == by_loop[:2] == (450, 450)
-    assert by_blocks[2][1] == by_loop[2][1]
-    assert np.array_equal(by_blocks[2][0], by_loop[2][0])
-    assert np.array_equal(by_blocks[3], by_loop[3])
-    assert by_blocks[4].tolist() == by_loop[4].tolist() == [
+    assert by_blocks[:3] == by_loop[:3] == (450, 450, 250)
+    assert by_blocks[3][1] == by_loop[3][1]
+    assert np.array_equal(by_blocks[3][0], by_loop[3][0])
+    assert np.array_equal(by_blocks[4], by_loop[4])
+    assert by_blocks[5].tolist() == by_loop[5].tolist() == [
         0, 1, 100, 300, 450, 450, 450]
 
 
@@ -335,6 +368,16 @@ def test_elimination_work_cap():
 # ---------------------------------------------------------------------------
 # the oracle itself
 # ---------------------------------------------------------------------------
+
+def test_trial_counts_above_the_cap_are_rejected():
+    system = FatPointSystem(5, 2, 3)
+    assert h0_fatpoints(system, trials=MAX_TRIALS) == 12
+    assert alpha_rank(3, [2, 5], trials=MAX_TRIALS) == [(8, 12, 8), (3, 3, 5)]
+    with pytest.raises(OracleLimitError, match=f"cap of {MAX_TRIALS}"):
+        h0_fatpoints(system, trials=MAX_TRIALS + 1)
+    with pytest.raises(OracleLimitError, match=f"cap of {MAX_TRIALS}"):
+        alpha_rank(3, [2, 5], trials=MAX_TRIALS + 1)
+
 
 def test_h0_empty_and_full_systems():
     assert h0_fatpoints(FatPointSystem(1, 1, 3)) == 0
@@ -523,6 +566,32 @@ def test_kernel_flag_equals_each_prefix_measured_alone(d, points, s_values):
     cfg = PointConfiguration(points=points[:max(s_values)])
     assert _alpha_trial(d, cfg, s_values, P) == [
         _alpha_reference(d, cfg, s, P) for s in s_values]
+
+
+def test_a_kernel_flag_above_the_block_gate_is_in_echelon_form(monkeypatch):
+    # The origin leaves the degree-15 monomials but z^15 as the kernel
+    # basis, x-heavy ones first.  Points on x = 0 then vanish on every
+    # monomial with x in it, so in the echelon of [values | kernel] the
+    # kernel's top half pivots right of the values, and the y^j z^(15-j)
+    # rows at its end pivot left of them.  The flag must read those rows
+    # first; the rank-only form would leave them unsorted.
+    points = (((0, 0),) + tuple((0, y) for y in range(1, 136))
+              + PointConfiguration.random(10, 0xC0FFEE).points)
+    cfg = PointConfiguration(points=points)
+    s_values = range(1, len(points) + 1)
+    echelons = []
+    real = fatpoints._echelon
+
+    def recorded(matrix, p, form):
+        echelons.append((matrix.shape[0], form))
+        return real(matrix, p, form)
+
+    monkeypatch.setattr(fatpoints, "_echelon", recorded)
+    column = _alpha_trial(16, cfg, s_values, P)
+    monkeypatch.undo()
+    assert (135, "echelon") in echelons
+    assert 135 >= fatpoints._BLOCK_MIN_ROWS
+    assert column == [_alpha_reference(16, cfg, s, P) for s in s_values]
 
 
 def test_a_column_costs_a_fixed_number_of_eliminations(monkeypatch):
