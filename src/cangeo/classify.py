@@ -146,8 +146,8 @@ def alpha_surjective(pair: BlowupPair) -> TriState:
     """Is the multiplication map of sections surjective for (d, s)?
 
     For d <= 4 the answer is an exact iff.  For d >= 5 there are a yes
-    zone, a no zone, and a one or two integer gap in between that stays
-    unknown.
+    zone, a no zone, and a gap of floor((d - 3) / 2) integers in between
+    (1, 1, 2, 2, 3 for d = 5..9) that stays unknown.
     """
     z, s = zones(pair.d), pair.s
     return _tri(s <= z.alpha_yes_max or s >= z.alpha_yes_min,

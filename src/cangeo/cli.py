@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -140,9 +141,15 @@ def _flatten(record: dict) -> dict:
     return flat
 
 
-# Rows per json.dumps call of a streamed JSON array: as fast as one dump of
-# the whole list, and one dump per row would take about twice as long.
-JSON_CHUNK_ROWS = 256
+# Rows per write to stdout: one write per row would be one system call per
+# row when stdout is unbuffered (PYTHONUNBUFFERED).
+CHUNK_ROWS = 256
+
+# A flat row as one element of an indented JSON array, by the C encoder
+# (json.dumps with `indent` runs the pure-Python one): the separators put
+# each key on its own line, _json_row adds the braces' lines.
+_FLAT_ROW = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "),
+                             default=str)
 
 
 def _dumps(payload) -> str:
@@ -150,17 +157,26 @@ def _dumps(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, default=str)
 
 
-def _write_json_array(out, records) -> None:
-    """Write _dumps(list(records)) chunk by chunk, holding one chunk.
+def _chunks(items):
+    """Lists of up to CHUNK_ROWS consecutive items."""
+    items = iter(items)
+    while chunk := list(islice(items, CHUNK_ROWS)):
+        yield chunk
 
-    Each chunk is dumped as a list; without its "[\n" and "\n]" ends it is
-    the chunk's part of the whole list, and parts join with ",\n".
-    """
-    records = iter(records)
+
+def _json_row(record: dict) -> str:
+    """The record as an element of _dumps of a list, without the comma."""
+    for value in record.values():
+        if value.__class__ in (dict, list):
+            return _dumps([record])[2:-2]
+    return "  {\n    " + _FLAT_ROW.encode(record)[1:-1] + "\n  }"
+
+
+def _write_json_array(out, records) -> None:
+    """Write _dumps(list(records)) one chunk of rows at a time."""
     sep = "[\n"
-    while batch := list(islice(records, JSON_CHUNK_ROWS)):
-        out.write(sep)
-        out.write(_dumps(batch)[2:-2])
+    for chunk in _chunks(records):
+        out.write(sep + ",\n".join(map(_json_row, chunk)))
         sep = ",\n"
     out.write("[]" if sep == "[\n" else "\n]")
 
@@ -175,7 +191,7 @@ def _cells(records, columns: list[str]):
 
 
 def emit(records, columns: list[str], fmt: str, single: bool = False) -> None:
-    """Write `records` to stdout, one row at a time.
+    """Write `records` to stdout, a chunk of rows at a time.
 
     `records` may be iterated twice (the table format measures its column
     widths first); with `single`, only its first record is written.
@@ -189,12 +205,17 @@ def emit(records, columns: list[str], fmt: str, single: bool = False) -> None:
         out.write("\n")
         return
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\r\n")
-        writer.writerow(columns)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\r\n")
         # csv writes None as "" and any other value as str() does, so only
         # a bool needs _plain
-        writer.writerows([_plain(v) if v.__class__ is bool else v for v in row]
-                         for row in _cells(records, columns))
+        rows = ([_plain(v) if v.__class__ is bool else v for v in row]
+                for row in _cells(records, columns))
+        for chunk in _chunks(chain([columns], rows)):
+            writer.writerows(chunk)
+            out.write(buf.getvalue())
+            buf.seek(0)
+            buf.truncate()
         return
     if single:
         [cells] = islice(_cells(records, columns), 1)
@@ -205,11 +226,12 @@ def emit(records, columns: list[str], fmt: str, single: bool = False) -> None:
     widths = [len(c) for c in columns]
     for cells in _cells(records, columns):
         widths = [max(w, len(_plain(v))) for w, v in zip(widths, cells)]
-    out.write("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip())
-    out.write("\n")
-    for cells in _cells(records, columns):
-        out.write("  ".join(_plain(v).ljust(w) for v, w in zip(cells, widths)).rstrip())
-        out.write("\n")
+    out.write("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()
+              + "\n")
+    for chunk in _chunks(_cells(records, columns)):
+        out.write("".join(
+            "  ".join(_plain(v).ljust(w) for v, w in zip(cells, widths)).rstrip()
+            + "\n" for cells in chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -638,5 +660,20 @@ def main(argv=None) -> int:
     return EXIT_MISMATCH if rows.mismatch else EXIT_OK
 
 
+def run():
+    """Process entry point: main() on sys.argv, then end the process.
+
+    Once stdout and stderr are flushed nothing is left to do, so the
+    process ends with os._exit and skips the interpreter's teardown (the
+    final collection, module cleanup and the BLAS library's shutdown),
+    none of which the output needs.  SystemExit (bad input, exit 2) and an
+    uncaught exception take the normal exit path.
+    """
+    status = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

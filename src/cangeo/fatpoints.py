@@ -138,27 +138,33 @@ def _limbs(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _submul_mod_p(C: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int) -> None:
     """C = (C - X @ Y) mod p in place, exact, on residues below p < 2**32.
 
-    Each factor is split into 16-bit limbs, so a product of limbs is below
-    2**32.  The inner dimension is a rank, at most 1625 under
-    MAX_ELIMINATION_WORK, or a leaf's rows, at most _BLOCK_LEAF_ROWS, or
-    the length of a V_{d-1} vector in _kernel_flag, at most 1891 under
-    alpha_rank's checks, so every
-    float64 sum stays below 2**43 (2**44 for the two cross terms
-    together), exact under 2**53.  The limbs are
-    recombined by Horner's rule in int64: X @ Y = (hh * 2**16 + mid) * 2**16
-    + ll, each stage below 2**49 before its reduction.
+    Each factor is split into 16-bit limbs, X = xh * 2**16 + xl and Y
+    likewise, panel by panel.  Three float64 products give hh = xh @ yh,
+    ll = xl @ yl and the cross terms mid = (xh + xl) @ (yh + yl) - hh - ll,
+    whose every term is below 2**34.  The inner dimension n is a rank, at
+    most 1625 under MAX_ELIMINATION_WORK, or a leaf's rows, at most
+    _BLOCK_LEAF_ROWS, or the length of a V_{d-1} vector in _kernel_flag,
+    at most 1891 under alpha_rank's checks; so every sum stays below
+    n * 2**34 < 2**45, exact under 2**53.  The limbs are recombined by
+    Horner's rule in int64 with two reductions: hh * 2**16 + mid, below
+    2**60, is reduced mod p, shifted by 16 bits and ll added, below 2**49;
+    C minus that, above -2**49, is reduced once.
     """
     xh, xl = _limbs(X)
+    xs = xh + xl
     for j in range(0, C.shape[1], _PANEL_COLS):
         yh, yl = _limbs(Y[:, j:j + _PANEL_COLS])
-        prod = (xh @ yh).astype(np.int64)
+        hh = xh @ yh
+        ll = xl @ yl
+        mid = xs @ (yh + yl)
+        mid -= hh
+        mid -= ll
+        prod = hh.astype(np.int64)
+        prod <<= 16
+        prod += mid.astype(np.int64)
         prod %= p
         prod <<= 16
-        prod += (xh @ yl + xl @ yh).astype(np.int64)
-        prod %= p
-        prod <<= 16
-        prod += (xl @ yl).astype(np.int64)
-        prod %= p
+        prod += ll.astype(np.int64)
         panel = C[:, j:j + _PANEL_COLS]
         panel -= prod
         panel %= p

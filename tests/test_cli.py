@@ -16,9 +16,18 @@ from cangeo.defaults import MAX_TRIALS
 RUN = [sys.executable, "-m", "cangeo"]
 
 
-def run_cli(*argv, env_extra=None, timeout=None):
+def _child_env():
+    """This environment without CANGEO_SEED, and with stdout block-buffered
+    into a pipe, as by default, so that output left unflushed at exit
+    would be lost."""
     env = dict(os.environ)
     env.pop("CANGEO_SEED", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def run_cli(*argv, env_extra=None, timeout=None):
+    env = _child_env()
     if env_extra:
         env.update(env_extra)
     return subprocess.run(RUN + list(argv), capture_output=True, env=env,
@@ -273,10 +282,15 @@ def test_oracle_flag_mismatch_exits_3(capsys, monkeypatch):
     assert row["oracle_flag"] == "MISMATCH"
 
 
-def _close_after_first_line(argv, head):
-    """Run the CLI, close its stdout after the first line; (exit code, stderr)."""
+def _close_after_first_line(argv, head, buffered=False):
+    """Run the CLI, close its stdout after the first line; (exit code, stderr).
+
+    The child inherits this environment's stdout buffering unless
+    `buffered`."""
     env = dict(os.environ)
     env.pop("CANGEO_SEED", None)
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.Popen(
         RUN + list(argv),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
@@ -298,12 +312,87 @@ def test_closed_stdout_exits_1_without_traceback():
     assert b"Traceback" not in err
 
 
+def test_closed_buffered_stdout_exits_1_without_traceback():
+    # the rest of a full buffer is flushed to devnull before os._exit
+    code, err = _close_after_first_line(
+        ["table", "--d", "2..40", "--s", "1..400", "--format", "csv"], b"d,s,",
+        buffered=True)
+    assert code == 1
+    assert b"Traceback" not in err
+
+
 def test_closed_stdout_mid_json_stream_exits_1_without_traceback():
     # ~3 MB of json written chunk by chunk
     code, err = _close_after_first_line(
         ["geography", "--d", "2..60", "--format", "json"], b"[")
     assert code == 1
     assert b"Traceback" not in err
+
+
+# --- the process entry point ----------------------------------------------
+
+# Invocations run both through `python -m cangeo` (cli.run, which ends the
+# process with os._exit) and through cli.main in this process: csv, json and
+# table rows, nested json rows, and xi's notes on stderr.
+_ENTRY_ARGV = [
+    *(["table", "--d", "2..6", "--s", "1..30", "--oracle", "--format", fmt]
+      for fmt in ("csv", "json", "table")),
+    *(["xi", "--m", m, "--dmax", "60", "--format", fmt]
+      for m in ("10", "19") for fmt in ("csv", "json", "table")),
+]
+
+
+@pytest.mark.parametrize("argv", _ENTRY_ARGV, ids=" ".join)
+def test_module_entry_writes_what_main_writes(capsys, monkeypatch, argv):
+    monkeypatch.delenv("CANGEO_SEED", raising=False)
+    proc = run_cli(*argv)
+    code, out, err = run_main(capsys, *argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.encode()
+    assert proc.stderr == err.encode()
+    if argv[0] == "xi":
+        assert "note:" in err
+
+
+def run_code(code, *argv):
+    """`python -c code argv...`, in the environment of run_cli."""
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, env=_child_env())
+
+
+def test_module_entry_exit_codes():
+    assert run_cli("classify", "4", "9").returncode == 0
+    bad = run_cli("classify", "1", "1")
+    assert bad.returncode == 2
+    assert bad.stdout == b""
+    assert b"usage:" in bad.stderr and b"Traceback" not in bad.stderr
+
+
+def test_run_exits_3_on_a_mismatch():
+    code = """
+from cangeo import cli
+cli.CURATED_H0[(2, 2, 2)] = 0
+cli.run()
+"""
+    proc = run_code(code, "oracle", "h0", "--k", "2", "--r", "2", "--s", "2",
+                    "--format", "json")
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["flag"] == "MISMATCH"
+
+
+def test_run_leaves_an_uncaught_exception_to_the_interpreter():
+    code = """
+from cangeo import cli
+def fail(args, config):
+    raise RuntimeError("unplanned")
+cli.COMMANDS["classify"] = fail
+cli.run()
+"""
+    proc = run_code(code, "classify", "4", "9")
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert b"Traceback" in proc.stderr
+    assert b"RuntimeError: unplanned" in proc.stderr
 
 
 # --- xi and geography -----------------------------------------------------
@@ -491,13 +580,31 @@ def _json_rows(n):
             for i in range(n)]
 
 
-@pytest.mark.parametrize("n", [0, 1, cli.JSON_CHUNK_ROWS - 1, cli.JSON_CHUNK_ROWS,
-                               cli.JSON_CHUNK_ROWS + 1, 2 * cli.JSON_CHUNK_ROWS + 5])
+@pytest.mark.parametrize("n", [0, 1, cli.CHUNK_ROWS - 1, cli.CHUNK_ROWS,
+                               cli.CHUNK_ROWS + 1, 2 * cli.CHUNK_ROWS + 5])
 def test_chunked_json_equals_one_dump_of_the_list(n):
     rows = _json_rows(n)
     out = io.StringIO()
     cli._write_json_array(out, iter(rows))
     assert out.getvalue() == json.dumps(rows, indent=2, sort_keys=True, default=str)
+
+
+def _flat_json_rows(n):
+    return [{"d": i, "slope": Fraction(i, 7), "mu": None, "certified": i % 2 == 0,
+             "rule": "s <= (d^2-d+2)/2, \"q\" \u00e9\t", "chi": -i}
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, cli.CHUNK_ROWS + 1])
+def test_flat_json_rows_equal_one_dump_of_the_list(n):
+    # flat rows take the C encoder; mixed with nested ones, which do not
+    for rows in (_flat_json_rows(n),
+                 [row for pair in zip(_flat_json_rows(n), _json_rows(n))
+                  for row in pair]):
+        out = io.StringIO()
+        cli._write_json_array(out, iter(rows))
+        assert out.getvalue() == json.dumps(rows, indent=2, sort_keys=True,
+                                            default=str)
 
 
 def test_table_format_takes_two_passes_over_a_plan(capsys):

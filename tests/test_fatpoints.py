@@ -297,19 +297,41 @@ def test_public_functions_above_the_block_gate(monkeypatch):
         0, 1, 100, 300, 450, 450, 450]
 
 
+def _submul_reference(acc, left, right, p):
+    return (acc.astype(object) - left.astype(object) @ right.astype(object)) % p
+
+
 def test_limb_product_is_exact_at_its_limit():
-    # every entry p - 1 at the largest accepted prime, and the largest
-    # inner dimension the elimination cap allows; 300 columns cross a panel
+    # every entry p - 1 at the largest accepted prime, and the largest inner
+    # dimension: 1891 = 61*62/2 monomials of degree 60, the longest V_{d-1}
+    # vector alpha_rank admits (every s is over a cap at d = 62), above the
+    # largest rank the elimination cap allows; 300 columns cross a panel
     p = 3037000493
     assert MAX_PRIME < 2 ** 32
-    inner = 1625
-    assert inner ** 3 <= MAX_ELIMINATION_WORK < (inner + 1) ** 3
+    inner = FatPointSystem(60, 1, 1).ambient_dim
+    assert inner == 1891
+    assert round(MAX_ELIMINATION_WORK ** (1 / 3)) < inner
+    for s in range(1, MAX_MATRIX_ENTRIES // FatPointSystem(62, 1, 1).ambient_dim):
+        with pytest.raises(OracleLimitError):
+            alpha_rank(62, [s])
     left = np.full((3, inner), p - 1, dtype=np.int64)
     right = np.full((inner, 300), p - 1, dtype=np.int64)
     right[:, ::7] = np.arange(inner)[:, None]
     acc = np.full((3, 300), p - 1, dtype=np.int64)
     acc[1] = 0
-    expected = (acc.astype(object) - left.astype(object) @ right.astype(object)) % p
+    expected = _submul_reference(acc, left, right, p)
+    _submul_mod_p(acc, left, right, p)
+    assert acc.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("inner", [1, 32, 1891])
+def test_limb_product_matches_exact_integers_on_random_residues(inner):
+    p = 3037000493
+    rng = np.random.default_rng(inner)
+    left = rng.integers(0, p, size=(5, inner))
+    right = rng.integers(0, p, size=(inner, 300))
+    acc = rng.integers(0, p, size=(5, 300))
+    expected = _submul_reference(acc, left, right, p)
     _submul_mod_p(acc, left, right, p)
     assert acc.tolist() == expected.tolist()
 
