@@ -319,7 +319,6 @@ class PointConfiguration:
     """Distinct affine points over Z/pZ, regenerable from a seed."""
 
     points: tuple[tuple[int, int], ...]
-    seed: int | None = None
 
     def __post_init__(self):
         if len(set(self.points)) != len(self.points):
@@ -343,7 +342,7 @@ class PointConfiguration:
         while len(pts) < count:
             batch = gen.integers(0, p, size=(count - len(pts), 2))
             pts.update(dict.fromkeys(map(tuple, batch.tolist())))
-        return cls(points=tuple(pts), seed=seed)
+        return cls(points=tuple(pts))
 
 
 def _power_table(values: np.ndarray, k: int, p: int) -> np.ndarray:
@@ -399,9 +398,12 @@ def h0_fatpoints(system: FatPointSystem, trials: int = DEFAULT_TRIALS,
                  seed: int = DEFAULT_SEED, p: int = DEFAULT_PRIME) -> int:
     """Generic number of independent curves in the system.
 
-    Minimum of (ambient dimension - rank) over the trials: a special
-    configuration can only enlarge the kernel, never shrink it, so the
-    minimum is the generic value unless every trial was unlucky.
+    Minimum of (ambient dimension - rank) over at most `trials` trials: a
+    special configuration can only enlarge the kernel, never shrink it,
+    so the minimum is the generic value unless every trial was unlucky.
+    No rank exceeds min(rows, cols), so no trial reads below
+    system.expected_h0; a trial that reads it ends the loop, since no
+    later one could change the minimum.
     """
     _check_trials(trials)
     _check_size(system.conditions, system.ambient_dim)   # before the draw
@@ -411,6 +413,8 @@ def h0_fatpoints(system: FatPointSystem, trials: int = DEFAULT_TRIALS,
         cfg = PointConfiguration.random(system.point_count, seed, p, trial=t)
         h0 = system.ambient_dim - rank_mod_p(vanishing_matrix(cfg, system, p), p)
         best = h0 if best is None else min(best, h0)
+        if best == system.expected_h0:
+            break
     return best
 
 
@@ -551,6 +555,13 @@ def alpha_rank(d: int, s_values, trials: int = DEFAULT_TRIALS,
     so the reported triple comes from a trial with the smallest
     (dim_source, dim_target), and among those the largest rank (the
     earliest trial on a tie); its three numbers are mutually consistent.
+
+    At most `trials` trials run.  A simple point imposes at most one
+    condition, so with N_k = (k+1)(k+2)/2 monomials of degree k no trial
+    reads dim_source below 3 * max(0, N_{d-1} - s) or dim_target below
+    max(0, N_d - s), nor a rank above the smaller of the two: that
+    triple is the floor of the entry.  Once every entry sits on its
+    floor no later trial could replace one, and the loop ends.
     """
     if d < 2:
         raise ValueError("need degree at least 2")
@@ -564,11 +575,21 @@ def alpha_rank(d: int, s_values, trials: int = DEFAULT_TRIALS,
     # system rows.  The first grows with s and the second shrinks, so both
     # ends of a range are covered; every s is checked, in order, so the
     # error names the first s over a cap.
+    floor = []
     for s in s_values:
-        for rows in (s, 3 * FatPointSystem(d - 1, 1, s).expected_h0):
+        source = 3 * FatPointSystem(d - 1, 1, s).expected_h0
+        target = FatPointSystem(d, 1, s).expected_h0
+        for rows in (s, source):
             _check_size(rows, n_high)
             _check_work(rows, n_high)
-    per_trial = [_alpha_trial(d, PointConfiguration.random(
-                     max(s_values), seed, p, trial=t), s_values, p)
-                 for t in range(trials)]
-    return [min(column, key=_most_generic) for column in zip(*per_trial)]
+        floor.append((min(source, target), source, target))
+    best = None
+    for t in range(trials):
+        column = _alpha_trial(d, PointConfiguration.random(
+            max(s_values), seed, p, trial=t), s_values, p)
+        best = column if best is None else [
+            min(kept, new, key=_most_generic)
+            for kept, new in zip(best, column)]
+        if best == floor:
+            break
+    return best

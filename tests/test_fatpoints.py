@@ -94,7 +94,7 @@ FIVE_POINTS = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 3)]
 def test_rank_matches_rational_reference_simple_points():
     rows = _rational_rows(3, 1, FIVE_POINTS)
     assert _rational_rank(rows) == 5
-    cfg = PointConfiguration(points=tuple(FIVE_POINTS), seed=0)
+    cfg = PointConfiguration(points=tuple(FIVE_POINTS))
     mat = vanishing_matrix(cfg, FatPointSystem(3, 1, 5), P)
     assert rank_mod_p(mat, P) == 5
 
@@ -104,7 +104,7 @@ def test_rank_matches_rational_reference_double_points():
     pts = [(0, 0), (1, 1)]
     rows = _rational_rows(2, 2, pts)
     assert _rational_rank(rows) == 5
-    cfg = PointConfiguration(points=tuple(pts), seed=0)
+    cfg = PointConfiguration(points=tuple(pts))
     mat = vanishing_matrix(cfg, FatPointSystem(2, 2, 2), P)
     assert rank_mod_p(mat, P) == 5
 
@@ -130,7 +130,7 @@ def test_vanishing_matrix_matches_rational_rows():
     # entry by entry, including r > k (whole rows zero), negative
     # coordinates and residues just below P
     pts = [(0, 0), (1, 0), (0, 1), (2, 3), (-4, 7), (P - 1, P - 2)]
-    cfg = PointConfiguration(points=tuple(pts), seed=0)
+    cfg = PointConfiguration(points=tuple(pts))
     for k in range(7):
         for r in range(1, 5):
             mat = vanishing_matrix(cfg, FatPointSystem(k, r, len(pts)), P)
@@ -342,7 +342,7 @@ def test_moduli_that_overflow_int64_are_rejected():
     for fn in (rank_mod_p, rref_mod_p, kernel_basis_mod_p):
         with pytest.raises(ValueError, match="overflow"):
             fn(mat, big)
-    cfg = PointConfiguration(points=((1, 2), (3, 4)), seed=0)
+    cfg = PointConfiguration(points=((1, 2), (3, 4)))
     with pytest.raises(ValueError, match="overflow"):
         vanishing_matrix(cfg, FatPointSystem(4, 2, 2), big)
     with pytest.raises(ValueError, match="overflow"):
@@ -417,6 +417,55 @@ def test_h0_is_deterministic():
     assert cfg1.points == cfg2.points
 
 
+def _h0_readings(system, trials, seed):
+    """h0 of each of the first `trials` configurations, each drawn and
+    measured on its own."""
+    return [system.ambient_dim - rank_mod_p(vanishing_matrix(
+                PointConfiguration.random(system.point_count, seed, P,
+                                          trial=t), system, P), P)
+            for t in range(trials)]
+
+
+def _counting_draws(monkeypatch, draws):
+    """Append the trial of every PointConfiguration.random call to draws."""
+    real = PointConfiguration.random
+
+    def counted(count, seed, p=P, trial=0):
+        draws.append(trial)
+        return real(count, seed, p, trial=trial)
+
+    monkeypatch.setattr(PointConfiguration, "random", counted)
+
+
+# (4, 2, 5): the double conic through five points, h0 = 1 > virtual 0;
+# (12, 8, 2) and (2, 2, 2): the line through the two points is a fixed
+# component
+_SPECIAL_SYSTEMS = [(4, 2, 5), (12, 8, 2), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("seed", [0xC0FFEE, 0x5EED5])
+def test_h0_stops_at_the_floor_and_equals_every_trials_minimum(
+        monkeypatch, seed):
+    grid = [(k, r, s) for k in (1, 3, 5, 8) for r in (1, 2, 3)
+            for s in (1, 2, 4, 7)] + _SPECIAL_SYSTEMS
+    for trials in (1, 2, 3):
+        for k, r, s in grid:
+            system = FatPointSystem(k, r, s)
+            readings = _h0_readings(system, trials, seed)
+            draws = []
+            _counting_draws(monkeypatch, draws)
+            assert h0_fatpoints(system, trials, seed) == min(readings), (
+                k, r, s, trials)
+            monkeypatch.undo()
+            floor = system.expected_h0
+            ran = readings.index(floor) + 1 if floor in readings else trials
+            assert draws == list(range(ran)), (k, r, s, trials)
+            if (k, r, s) in _SPECIAL_SYSTEMS:
+                assert ran == trials
+            elif (k, r, s) == (8, 3, 4):    # h0 21 = 45 - 24
+                assert ran == 1
+
+
 def _scalar_points(count, seed, p, trial):
     """The per-coordinate draw the batched one must reproduce: one
     integers() call for x, one for y, a repeated point drawn again."""
@@ -456,7 +505,7 @@ def test_point_configurations_differ_between_trials():
 
 def test_repeated_points_rejected():
     with pytest.raises(ValueError):
-        PointConfiguration(points=((1, 2), (1, 2)), seed=0)
+        PointConfiguration(points=((1, 2), (1, 2)))
 
 
 def test_system_validation():
@@ -513,6 +562,41 @@ def test_trial_rule_keeps_the_generic_configuration():
     # the special trial has the larger rank and must still lose
     assert min([special, usual], key=_most_generic) == usual
     assert min([usual, special], key=_most_generic) == usual
+
+
+def test_a_reading_above_the_floor_does_not_stop_the_trials(monkeypatch):
+    # trial 0 draws five points on y = 0: a cubic through them contains
+    # the line, so they impose 4 conditions (h0 6 > floor 5), and at
+    # (d, s) = (3, 5) the map reads (6, 9, 6), above the floor (3, 3, 5)
+    real, draws = PointConfiguration.random, []
+
+    def collinear_first(count, seed, p=P, trial=0):
+        draws.append(trial)
+        if trial == 0:
+            return PointConfiguration(points=tuple((x, 0)
+                                                   for x in range(count)))
+        return real(count, seed, p, trial=trial)
+
+    monkeypatch.setattr(PointConfiguration, "random", collinear_first)
+    system = FatPointSystem(3, 1, 5)
+    assert h0_fatpoints(system, trials=1) == 6
+    draws.clear()
+    assert h0_fatpoints(system, trials=5) == 5
+    assert draws == [0, 1]
+    assert alpha_rank(3, [5], trials=1) == [(6, 9, 6)]
+    draws.clear()
+    assert alpha_rank(3, [5], trials=5) == [(3, 3, 5)]
+    assert draws == [0, 1]
+    # the whole column runs on while one entry is above its floor; the
+    # entry at s = 2, on its floor in both trials, keeps trial 0's reading
+    draws.clear()
+    assert alpha_rank(3, [2, 5], trials=5) == [(8, 12, 8), (3, 3, 5)]
+    assert draws == [0, 1]
+    monkeypatch.undo()
+    draws = []
+    _counting_draws(monkeypatch, draws)
+    assert alpha_rank(3, [2, 5], trials=5) == [(8, 12, 8), (3, 3, 5)]
+    assert draws == [0]
 
 
 def test_an_empty_kernel_is_not_eliminated(monkeypatch):
