@@ -336,6 +336,8 @@ class PointConfiguration:
         stream exactly as one (x, y) draw per point with a redraw on a
         collision does, so random(s + 1) extends random(s).
         """
+        if count > p * p:
+            raise ValueError(f"Z/{p}Z has {p * p} points, not {count}")
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
         gen = np.random.Generator(np.random.PCG64(ss))
         pts: dict[tuple[int, int], None] = {}   # ordered set
@@ -493,12 +495,12 @@ def _alpha_trial(d: int, cfg: PointConfiguration, s_values,
 
     Both vanishing matrices are built once, for all of cfg's points.  Rows
     are point by point, so the first s rows are the matrix of the first s
-    points.  With two or more distinct s, the V_{d-1} kernels come from
-    one flag basis (_kernel_flag), so the product matrix of the smallest
-    s holds the one of every s in its first rows, and one elimination
-    reads every rank; the last s with a nonzero kernel is measured again
-    on its own, and a disagreement raises AssertionError.  A single s is
-    measured on its own only.
+    points.  The V_{d-1} kernels come from one flag basis (_kernel_flag),
+    so the product matrix of the smallest s holds the one of every s in
+    its first rows, and one elimination reads every rank.  Where a later
+    point was cut into the flag, the last s with a nonzero kernel is
+    measured again on its own, and a disagreement raises AssertionError;
+    with nothing cut the flag is the kernel at that s itself.
     """
     s_max = len(cfg.points)
     mat_low = vanishing_matrix(cfg, FatPointSystem(d - 1, 1, s_max), p)
@@ -510,15 +512,13 @@ def _alpha_trial(d: int, cfg: PointConfiguration, s_values,
     maps = [np.array([high_index[(i + si, j + sj, l + sl)]
                       for (i, j, l) in monomial_basis(d - 1)])
             for (si, sj, sl) in shifts]
-    if len(set(s_values)) == 1:
-        rank, dim_source = _alpha_at(mat_low, s_values[0], maps, n_high, p)
-        return [(rank, dim_source, t) for t in dims_target]
     flag, left = _kernel_flag(mat_low, min(s_values), p)
     sources = 3 * (flag.shape[0]
                    - np.searchsorted(left, s_values, side="right"))
     ranks = np.zeros(len(s_values), dtype=np.int64)
     if flag.shape[0]:
         ranks = _prefix_ranks(_product_matrix(flag, maps, n_high), sources, p)
+    if flag.shape[0] and min(s_values) < s_max:
         s_last, entry = max((s, (rank, source)) for s, rank, source
                             in zip(s_values, ranks.tolist(), sources.tolist())
                             if source)

@@ -64,17 +64,16 @@ def moduli_dims_degree1(pair: BlowupPair) -> ModuliDims:
     if deformation_class(pair) is not DeformationClass.DEGREE1:
         raise ValueError(f"{pair} is not a degree-1 pair")
     d, s = pair.d, pair.s
-    mu = d * d + 15 * d + 20 - 6 * s
-    mu2 = 2 * d * d + 15 * d + 19 - 8 * s
-    return ModuliDims(mu=mu, mu2=mu2, codim=mu - mu2)
+    mu2 = h0_normal_of_cover(pair) - chi_tangent_blowup(s)
+    codim = 2 * s + 1 - d * d     # the cokernel of alpha
+    return ModuliDims(mu=mu2 + codim, mu2=mu2, codim=codim)
 
 
 def moduli_dim_degree2(pair: BlowupPair) -> int:
     """Moduli component dimension in the rigid degree-2 zone."""
     if deformation_class(pair) is not DeformationClass.DEGREE2_ALWAYS:
         raise ValueError(f"{pair} is not in the rigid degree-2 zone")
-    d, s = pair.d, pair.s
-    return 2 * d * d + 15 * d + 19 - 8 * s
+    return h0_normal_of_cover(pair) - chi_tangent_blowup(pair.s)
 
 
 def h0_normal_of_cover(pair: BlowupPair) -> int:

@@ -143,6 +143,32 @@ def test_oracle_alpha_reference(capsys):
     assert rec["flag"] == "MATCH"
 
 
+# s values of the equality grid; with d 2..8 they hold the alpha-gap pairs
+# (5, 12), (6, 17), (7, 23) and (8, 30)
+_GRID_S = (1, 5, 12, 17, 23, 30, 40)
+
+
+@pytest.mark.parametrize("seed", ["0xC0FFEE", "0x5EED5"])
+def test_a_table_oracle_row_equals_oracle_alpha_and_classify(capsys, seed):
+    def rows(*argv):
+        code, out, _ = run_main(capsys, *argv, "--seed", seed,
+                                "--format", "json")
+        assert code == 0, argv
+        return json.loads(out)
+
+    keys = ("rank", "dim_source", "dim_target", "coker")
+    for d in range(2, 9):
+        table = {row["s"]: row for row in rows(
+            "table", "--d", f"{d}..{d}", "--s", "1..40", "--oracle")}
+        for s in _GRID_S:
+            alpha = rows("oracle", "alpha", "--d", str(d), "--s", str(s))
+            want = [alpha[key] for key in keys] + [alpha["flag"]]
+            classified = rows("classify", str(d), str(s), "--oracle")
+            for row in (table[s], classified):
+                got = [row[f"alpha_{key}"] for key in keys]
+                assert got + [row["oracle_flag"]] == want, (d, s)
+
+
 def test_oracle_h1_without_prediction(capsys):
     code, out, _ = run_main(capsys, "oracle", "h1", "--k", "11", "--r", "4",
                             "--s", "5", "--format", "json")

@@ -497,6 +497,18 @@ def test_batched_draw_reproduces_the_scalar_stream():
     assert cases == 750
 
 
+def test_more_points_than_the_plane_holds_are_rejected():
+    # Z/5Z has 25 points: the draw takes every one, and cannot take 26
+    assert len(PointConfiguration.random(25, 0xC0FFEE, 5).points) == 25
+    assert h0_fatpoints(FatPointSystem(5, 1, 25), p=5) == 2
+    with pytest.raises(ValueError, match="25 points, not 26"):
+        PointConfiguration.random(26, 0xC0FFEE, 5)
+    with pytest.raises(ValueError, match="25 points, not 26"):
+        h0_fatpoints(FatPointSystem(5, 1, 26), p=5)
+    with pytest.raises(ValueError, match="25 points, not 30"):
+        alpha_rank(8, [30], p=5)
+
+
 def test_point_configurations_differ_between_trials():
     cfg0 = PointConfiguration.random(6, seed=99, trial=0)
     cfg1 = PointConfiguration.random(6, seed=99, trial=1)
@@ -665,9 +677,13 @@ _OFF_CONIC = ((3, 100), (5, 7), (11, 2), (13, 29))
     # unsorted and repeated s
     (4, _CONIC + _OFF_CONIC, [9, 3, 3, 12, 5, 9, 1]),
     (6, PointConfiguration.random(30, 0x5EED5).points, [25, 4, 4, 17, 30]),
+    # one s: a flag with nothing cut
+    (6, PointConfiguration.random(30, 0x5EED5).points, [17]),
+    (4, _CONIC, [8]),
+    (4, PointConfiguration.random(20, 0xC0FFEE).points, [15]),
 ], ids=["line-d3", "line-d4", "line-then-off", "conic", "conic-then-off",
         "conic-then-off-d5", "empties", "unsorted-special",
-        "unsorted-general"])
+        "unsorted-general", "one-general", "one-conic", "one-empty"])
 def test_kernel_flag_equals_each_prefix_measured_alone(d, points, s_values):
     cfg = PointConfiguration(points=points[:max(s_values)])
     assert _alpha_trial(d, cfg, s_values, P) == [
@@ -730,10 +746,13 @@ def test_the_last_nonzero_kernel_is_measured_again(monkeypatch):
     with pytest.raises(AssertionError, match="s = 9"):
         _alpha_trial(4, cfg, range(1, 13), P)
     assert measured == [9]
-    # a single s is measured once, on its own
+    # with no later point cut into the flag, the flag is the kernel at s
+    # itself, and nothing is measured again
     measured.clear()
-    assert len(_alpha_trial(4, cfg, [5, 5], P)) == 2
-    assert measured == [5]
+    five = PointConfiguration(points=cfg.points[:5])
+    assert _alpha_trial(4, five, [5, 5], P) == [
+        _alpha_reference(4, five, 5, P)] * 2
+    assert measured == []
 
 
 def _largest_checked(monkeypatch, run):
@@ -759,8 +778,10 @@ def test_the_flag_pass_checks_no_larger_matrix(monkeypatch, d, s_values):
     cfg = PointConfiguration.random(max(s_values), 0xC0FFEE)
     column = _largest_checked(
         monkeypatch, lambda: _alpha_trial(d, cfg, s_values, P))
-    per_s = _largest_checked(
-        monkeypatch, lambda: [_alpha_trial(d, cfg, [s], P) for s in s_values])
+    # each s alone, on its own s points, as alpha_rank(d, [s]) measures it
+    per_s = _largest_checked(monkeypatch, lambda: [
+        _alpha_trial(d, PointConfiguration(points=cfg.points[:s]), [s], P)
+        for s in s_values])
     assert column["_check_size"] <= per_s["_check_size"]
     assert column["_check_work"] <= per_s["_check_work"]
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cangeo.classify import BlowupPair
+from cangeo.classify import BlowupPair, DeformationClass, deformation_class
 from cangeo.invariants import (
     ModuliDims,
     SurfaceInvariants,
@@ -99,6 +99,25 @@ def test_degree2_moduli_dimension_samples():
     assert moduli_dim_degree2(BlowupPair(2, 1)) == 49
     assert moduli_dim_degree2(BlowupPair(3, 4)) == 50
     assert moduli_dim_degree2(BlowupPair(7, 21)) == 2 * 49 + 105 + 19 - 8 * 21
+
+
+def test_moduli_from_parts_equal_the_closed_polynomials():
+    # the polynomials the dimensions were first stated by, as references
+    degree1 = degree2 = 0
+    for d in range(2, 61):
+        for s in range(1, d * d):
+            pair = BlowupPair(d, s)
+            cls = deformation_class(pair)
+            mu2 = 2 * d * d + 15 * d + 19 - 8 * s
+            if cls is DeformationClass.DEGREE1:
+                dims = moduli_dims_degree1(pair)
+                mu = d * d + 15 * d + 20 - 6 * s
+                assert (dims.mu, dims.mu2, dims.codim) == (mu, mu2, mu - mu2)
+                degree1 += 1
+            elif cls is DeformationClass.DEGREE2_ALWAYS:
+                assert moduli_dim_degree2(pair) == mu2, (d, s)
+                degree2 += 1
+    assert degree1 == 7 and degree2 > 0
 
 
 def test_moduli_gap_matches_coker_formula_on_all_seven():
