@@ -32,10 +32,8 @@ def s_for_degree(m: int, d: int) -> Fraction:
         raise ValueError("m must be at least 4")
     if d < 1:
         raise ValueError("d must be positive")
-    den = 2 * (2 * m - 7)
-    return (Fraction((m - 5) * d * d, den)
-            + Fraction(9 * (m - 3) * d, den)
-            - Fraction((m - 3) ** 2 * (m + 4), den))
+    return Fraction((m - 5) * d * d + 9 * (m - 3) * d - (m - 3) ** 2 * (m + 4),
+                    2 * (2 * m - 7))
 
 
 def scroll_class_total(m: int, x_prime: int) -> Fraction:

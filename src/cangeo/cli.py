@@ -14,8 +14,10 @@ prediction (rerun with another seed; persistent mismatch means a bug on
 one side or the other).
 
 A command plans its rows (`Rows`) and writes nothing; `main` then streams
-them.  Closed-form rows are stepped along the runs of `classify.s_runs`,
-and only a command that measures imports the oracle, and with it numpy.
+them.  Closed-form rows are stepped along the runs of `classify.s_runs`
+and held column by column; the text of a run is laid out once and filled
+in row by row.  Only a command that measures imports the oracle, and with
+it numpy.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 from . import atlas, invariants
 from .classify import (BlowupPair, DeformationClass, TriState, alpha_surjective, classify,
@@ -119,7 +121,45 @@ def _span(text: str) -> range:
 
 
 # ---------------------------------------------------------------------------
-# output formatting
+# runs of rows
+# ---------------------------------------------------------------------------
+
+class _Run:
+    """`n` consecutive rows with the same keys, held column by column.
+
+    `const` maps a key to the value of every row; `vary` maps a key to its
+    n values, as a `range` (a stepped int), a list, or a pair `(fn, keys)`
+    for a column whose cells are fn of the cells of the columns `keys`.
+    A varying column holds flat values: an int, a str, a Fraction or None.
+    A record that is not stepped is a run of one row.
+    """
+
+    __slots__ = ("n", "const", "vary")
+
+    def __init__(self, n: int, const: dict, vary: dict | None = None):
+        self.n = n
+        self.const = const
+        self.vary = {} if vary is None else vary
+
+    def column(self, key: str):
+        """The key's n values; None in each row where the key is absent."""
+        col = self.vary.get(key)
+        if col is None:
+            return repeat(self.const.get(key), self.n)
+        if col.__class__ is tuple:
+            fn, keys = col
+            return map(fn, *map(self.column, keys))
+        return iter(col)
+
+    def first(self) -> dict:
+        """The run's first row as a record."""
+        return {**self.const,
+                **{key: next(self.column(key)) for key in self.vary}}
+
+
+# ---------------------------------------------------------------------------
+# output formatting: the text of a run is laid out once, then filled in
+# row by row by `%`
 # ---------------------------------------------------------------------------
 
 def _plain(value) -> str:
@@ -147,8 +187,11 @@ CHUNK_ROWS = 256
 
 # A flat row as one element of an indented JSON array, by the C encoder
 # (json.dumps with `indent` runs the pure-Python one): the separators put
-# each key on its own line, _json_row adds the braces' lines.
-_FLAT_ROW = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "),
+# each key on its own line, _json_lines adds the braces' lines.  No flat
+# value's text holds a newline, so _ITEM splits an encoded flat dict or
+# list into its items.
+_ITEM = ",\n    "
+_FLAT_ROW = json.JSONEncoder(sort_keys=True, separators=(_ITEM, ": "),
                              default=str)
 
 
@@ -164,74 +207,147 @@ def _chunks(items):
         yield chunk
 
 
-def _json_row(record: dict) -> str:
-    """The record as an element of _dumps of a list, without the comma."""
-    for value in record.values():
-        if value.__class__ in (dict, list):
-            return _dumps([record])[2:-2]
-    return "  {\n    " + _FLAT_ROW.encode(record)[1:-1] + "\n  }"
+def _json_lines(run: _Run):
+    """Each row of the run as an element of _dumps of a list, without the
+    comma."""
+    const, vary = run.const, run.vary
+    if any(value.__class__ in (dict, list) for value in const.values()):
+        keys = [*const, *vary]
+        return (_dumps([dict(zip(keys, values))])[2:-2]
+                for values in zip(*map(run.column, keys)))
+    # every item in the encoder's (sorted) key order: a constant one as
+    # text, a varying one as a slot
+    items = dict(zip(sorted(const), _FLAT_ROW.encode(const)[1:-1]
+                     .replace("%", "%%").split(_ITEM))) if const else {}
+    slots = {}
+    for key, col in vary.items():
+        name = _FLAT_ROW.encode(key).replace("%", "%%")
+        if col.__class__ is range or (col.__class__ is list
+                                      and set(map(type, col)) == {int}):
+            items[key] = name + ": %d"
+            slots[key] = col
+        else:
+            items[key] = name + ": %s"
+            values = _FLAT_ROW.encode(list(run.column(key)))
+            slots[key] = values[1:-1].split(_ITEM)
+    order = sorted(items)
+    template = "  {\n    " + _ITEM.join(map(items.get, order)) + "\n  }"
+    if not slots:
+        return repeat(template % (), run.n)
+    return map(template.__mod__,
+               zip(*[slots[key] for key in order if key in slots]))
 
 
-def _write_json_array(out, records) -> None:
-    """Write _dumps(list(records)) one chunk of rows at a time."""
+def _write_json_array(out, runs) -> None:
+    """Write _dumps of the list of the runs' rows, a chunk of rows at a
+    time."""
     sep = "[\n"
-    for chunk in _chunks(records):
-        out.write(sep + ",\n".join(map(_json_row, chunk)))
+    for chunk in _chunks(chain.from_iterable(map(_json_lines, runs))):
+        out.write(sep + ",\n".join(chunk))
         sep = ",\n"
     out.write("[]" if sep == "[\n" else "\n]")
 
 
-def _cells(records, columns: list[str]):
-    """Each record's values in column order, nested dicts flattened."""
-    wanted = set(columns)
-    for record in records:
-        if not record.keys() >= wanted:
-            record = _flatten(record)
-        yield [record.get(c) for c in columns]
+def _csv_rows(run: _Run, columns: list[str]):
+    """The run's rows as csv cells in column order, nested dicts flattened.
+
+    csv writes None as "" and any other value as str() does, so only a
+    bool needs _plain, and a bool is never a varying cell."""
+    const = _flatten(run.const)
+    cells = []
+    for c in columns:
+        if c in run.vary:
+            cells.append(run.column(c))
+        else:
+            value = const.get(c)
+            cells.append(repeat(_plain(value) if value.__class__ is bool
+                                else value, run.n))
+    return zip(*cells)
+
+
+def _table_cells(run: _Run, columns: list[str]) -> list:
+    """Per column of the run, nested dicts flattened: the _plain text of a
+    constant column, the range of a stepped one, or the _plain texts of
+    any other."""
+    const = _flatten(run.const)
+    cells = []
+    for c in columns:
+        col = run.vary.get(c)
+        if col is None:
+            cells.append(_plain(const.get(c)))
+        elif col.__class__ is range:
+            cells.append(col)
+        else:
+            cells.append(list(map(_plain, run.column(c))))
+    return cells
+
+
+def _table_width(cell) -> int:
+    if cell.__class__ is str:
+        return len(cell)
+    if cell.__class__ is range:
+        # the longest int of a range is at one of its ends
+        return max(len(str(cell[0])), len(str(cell[-1])))
+    return max(map(len, cell))
+
+
+def _table_lines(run: _Run, columns: list[str], widths: list[int]):
+    """The run's rows as lines of the table format, without the newline."""
+    pieces, slots = [], []
+    for cell, width in zip(_table_cells(run, columns), widths):
+        if cell.__class__ is str:
+            pieces.append(cell.ljust(width).replace("%", "%%"))
+        else:
+            pieces.append(f"%-{width}{'d' if cell.__class__ is range else 's'}")
+            slots.append(cell)
+    template = "  ".join(pieces)
+    if not slots:
+        return repeat((template % ()).rstrip(), run.n)
+    return map(str.rstrip, map(template.__mod__, zip(*slots)))
 
 
 def emit(records, columns: list[str], fmt: str, single: bool = False) -> None:
-    """Write `records` to stdout, a chunk of rows at a time.
+    """Write the rows of `records`, an iterable of `_Run`s, to stdout, a
+    chunk of rows at a time.
 
     `records` may be iterated twice (the table format measures its column
-    widths first); with `single`, only its first record is written.
+    widths first); with `single`, only its first row is written.
     """
     out = sys.stdout
+    if single and fmt != "csv":
+        record = next(iter(records)).first()
+        if fmt == "json":
+            out.write(_dumps(record) + "\n")
+            return
+        flat = _flatten(record)
+        width = max(len(c) for c in columns)
+        for c in columns:
+            out.write(f"{c:<{width}}  {_plain(flat.get(c))}\n".rstrip() + "\n")
+        return
     if fmt == "json":
-        if single:
-            out.write(_dumps(next(iter(records))))
-        else:
-            _write_json_array(out, records)
+        _write_json_array(out, records)
         out.write("\n")
         return
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
-        # csv writes None as "" and any other value as str() does, so only
-        # a bool needs _plain
-        rows = ([_plain(v) if v.__class__ is bool else v for v in row]
-                for row in _cells(records, columns))
+        rows = chain.from_iterable(_csv_rows(run, columns) for run in records)
         for chunk in _chunks(chain([columns], rows)):
             writer.writerows(chunk)
             out.write(buf.getvalue())
             buf.seek(0)
             buf.truncate()
         return
-    if single:
-        [cells] = islice(_cells(records, columns), 1)
-        width = max(len(c) for c in columns)
-        for c, cell in zip(columns, cells):
-            out.write(f"{c:<{width}}  {_plain(cell)}\n".rstrip() + "\n")
-        return
     widths = [len(c) for c in columns]
-    for cells in _cells(records, columns):
-        widths = [max(w, len(_plain(v))) for w, v in zip(widths, cells)]
+    for run in records:
+        widths = list(map(max, widths,
+                          map(_table_width, _table_cells(run, columns))))
     out.write("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()
               + "\n")
-    for chunk in _chunks(_cells(records, columns)):
-        out.write("".join(
-            "  ".join(_plain(v).ljust(w) for v, w in zip(cells, widths)).rstrip()
-            + "\n" for cells in chunk))
+    lines = chain.from_iterable(_table_lines(run, columns, widths)
+                                for run in records)
+    for chunk in _chunks(lines):
+        out.write("\n".join(chunk) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +413,6 @@ def classification_record(pair: BlowupPair) -> dict:
         row.update(mu=None, mu2=None, codim=None)
     return row
 
-
-def _with_alpha(row: dict, alpha: dict) -> dict:
-    """A classification row with the oracle columns of its measurement."""
-    row.update({f"alpha_{key}": alpha[key]
-                for key in ("rank", "dim_source", "dim_target", "coker")})
-    row["oracle_flag"] = alpha["flag"]
-    return row
-
-
-def _slope(row: dict) -> Fraction | None:
-    """SurfaceInvariants.slope, recomputed from a row's c1sq and c2."""
-    return None if row["c2"] is None else Fraction(row["c1sq"], row["c2"])
 
 
 def _point_record(d: int, s: int) -> dict:
@@ -377,11 +481,12 @@ def alpha_record(d: int, s: int, config: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 class Rows:
-    """A command's rows, planned before any is written.
+    """A command's rows, planned before any is written, as `_Run`s.
 
     Every verdict and measurement, and so every error and every MISMATCH
-    flag, is computed when the plan is made.  Iterating builds the rows one
-    at a time, afresh on each pass, so that no pass holds them all.
+    flag, is computed when the plan is made.  A run holds its columns, not
+    its rows: the rows are rendered from them on each pass, so that no
+    pass holds them all.  `len` counts rows.
     """
 
     def __init__(self, count: int, build, mismatch: bool = False):
@@ -397,77 +502,83 @@ class Rows:
 
     @classmethod
     def of(cls, rows: list[dict]) -> Rows:
-        """Rows already built; MISMATCH in a `flag` column is noted."""
-        return cls(len(rows), lambda: rows,
+        """Rows already built, a run of one row each; MISMATCH in a `flag`
+        column is noted."""
+        runs = [_Run(1, row) for row in rows]
+        return cls(len(rows), lambda: runs,
                    any(row.get("flag") == "MISMATCH" for row in rows))
 
 
-class _SteppedRun:
+def _stepped_run(record_at, run: range, derived: dict) -> _Run:
     """The records of one run of s (`classify.s_runs`), from three calls.
 
     `record_at(s)` is called at the run's first s and, if it has one, its
     second: every int field then steps by their difference (`s` included),
-    each field of `derived` is recomputed from the stepped row, and every
-    other field must stay the same.  A third call at the last s checks
-    the stepping, so a missing cut cannot pass unseen.
+    and every other field must stay the same.  A field of `derived`, keyed
+    to `(fn, source keys)`, is fn of its sources cell by cell where one of
+    them steps.  A third call at the last s checks the stepping, so a
+    missing cut cannot pass unseen.
     """
+    first = record_at(run.start)
+    n = len(run)
+    if n == 1:
+        return _Run(1, first)
+    second = record_at(run.start + 1)
+    const, vary = {}, {}
+    for key, value in first.items():
+        if key in derived:
+            continue
+        other = second[key]
+        if other == value:
+            const[key] = value
+        elif type(value) is int and type(other) is int:
+            step = other - value
+            vary[key] = range(value, value + n * step, step)
+        else:
+            raise AssertionError(
+                f"{key} changes inside the run {run} of {first}")
+    last = {key: col[-1] for key, col in vary.items()}
+    for key, (fn, sources) in derived.items():
+        if any(source in vary for source in sources):
+            vary[key] = fn, sources
+            last[key] = fn(*(last.get(k, const.get(k)) for k in sources))
+        else:
+            const[key] = first[key]
+    if n > 2 and {**const, **last} != record_at(run[-1]):
+        raise AssertionError(f"the run {run} of {first} is not affine in s")
+    return _Run(n, const, vary)
 
-    def __init__(self, record_at, run: range, derived: dict):
-        self._first = first = record_at(run.start)
-        self._steps = []
-        self._derived = derived.items()
-        self._len = len(run)
-        if len(run) > 1:
-            second = record_at(run.start + 1)
-            for key, value in first.items():
-                if key in derived:
-                    continue
-                other = second[key]
-                if type(value) is int and type(other) is int:
-                    if other != value:
-                        self._steps.append((key, value, other - value))
-                elif other != value:
-                    raise AssertionError(
-                        f"{key} changes inside the run {run} of {first}")
-        if len(run) > 2 and self.row(len(run) - 1) != record_at(run[-1]):
-            raise AssertionError(f"the run {run} of {first} is not affine in s")
 
-    def __len__(self) -> int:
-        return self._len
-
-    def row(self, i: int) -> dict:
-        """The record at the run's i-th s."""
-        row = self._first.copy()
-        for key, value, step in self._steps:
-            row[key] = value + i * step
-        for key, derive in self._derived:
-            row[key] = derive(row)
-        return row
-
-    def __iter__(self):
-        return map(self.row, range(self._len))
+# The slope c1sq/c2 of a classification row, derived cell by cell along a
+# run (SurfaceInvariants.slope)
+_SLOPE = {"slope": (Fraction, ("c1sq", "c2"))}
 
 
 def _classification_rows(d_values, s_values: range, config: RunConfig,
                          with_oracle: bool) -> tuple[Rows, list[str]]:
     """Rows by (d, s), stepped along the runs of each d.  With the oracle,
     a column is measured only after its runs are planned, which validates
-    its pairs: a bad pair is reported as without the oracle."""
-    runs, alphas = [], []
+    its pairs: a bad pair is reported as without the oracle; each run then
+    takes its slice of the column's measurements."""
+    runs, mismatch = [], False
     for d in d_values:
         def record_at(s, d=d):
             return classification_record(BlowupPair(d, s))
-        runs.extend(_SteppedRun(record_at, run, {"slope": _slope})
-                    for run in s_runs(d, s_values))
+        d_runs = [_stepped_run(record_at, run, _SLOPE)
+                  for run in s_runs(d, s_values)]
         if with_oracle:
-            alphas.extend(_alpha_measurements(d, s_values, config))
-
-    def build():
-        rows = chain.from_iterable(runs)
-        return map(_with_alpha, rows, alphas) if with_oracle else rows
-
-    rows = Rows(len(d_values) * len(s_values), build,
-                any(alpha["flag"] == "MISMATCH" for alpha in alphas))
+            alphas = _alpha_measurements(d, s_values, config)
+            measured = {f"alpha_{key}": [alpha[key] for alpha in alphas]
+                        for key in ("rank", "dim_source", "dim_target", "coker")}
+            measured["oracle_flag"] = flags = [alpha["flag"] for alpha in alphas]
+            mismatch = mismatch or "MISMATCH" in flags
+            start = 0
+            for run in d_runs:
+                run.vary.update((key, col[start:start + run.n])
+                                for key, col in measured.items())
+                start += run.n
+        runs.extend(d_runs)
+    rows = Rows(len(d_values) * len(s_values), lambda: runs, mismatch)
     return rows, CLASSIFY_ORACLE_COLUMNS if with_oracle else CLASSIFY_COLUMNS
 
 
@@ -494,35 +605,37 @@ def cmd_oracle(args, config: RunConfig) -> tuple[Rows, list[str]]:
 def cmd_xi(args, config: RunConfig) -> tuple[Rows, list[str]]:
     result = atlas.two_component_points(args.m, args.dmax)
     certified = args.m <= 17
+    notes = []
     if not certified:
-        print(f"note: m={args.m} is outside the certified window (m <= 17); "
-              "rows are best-effort and marked certified=false",
-              file=sys.stderr)
-    for miss in result.unwitnessed:
-        print(f"note: (d={miss.d}, s={miss.s}) with invariants "
-              f"({miss.x_prime}, {miss.y}) lies on the line for m={args.m} "
-              f"but no divisor of this line's class realizes it: "
-              f"{miss.reason}", file=sys.stderr)
-    rows = []
-    for pt in result.points:
-        record = asdict(pt)
-        record["certified"] = certified
-        rows.append(record)
+        notes.append(f"note: m={args.m} is outside the certified window "
+                     "(m <= 17); rows are best-effort and marked "
+                     "certified=false\n")
+    notes.extend(f"note: (d={miss.d}, s={miss.s}) with invariants "
+                 f"({miss.x_prime}, {miss.y}) lies on the line for m={args.m} "
+                 f"but no divisor of this line's class realizes it: "
+                 f"{miss.reason}\n" for miss in result.unwitnessed)
+    sys.stderr.write("".join(notes))
+    rows = [{"x_prime": pt.x_prime, "y": pt.y, "m": pt.m, "d": pt.d,
+             "s": pt.s, "scroll_witness": {"r": w.r, "l": w.l, "a": w.a,
+                                           "b": w.b, "c": w.c},
+             "certified": certified}
+            for pt in result.points for w in (pt.scroll_witness,)]
     return Rows.of(rows), XI_COLUMNS
 
 
 def cmd_geography(args, config: RunConfig) -> tuple[Rows, list[str]]:
-    lines = [{"kind": "line", **asdict(line),
-              "s": None, "chi": None, "c1sq": None, "deformation": None}
+    lines = [_Run(1, {"kind": "line", "d": line.d, "intercept": line.intercept,
+                      "x_min": line.x_min, "x_max": line.x_max,
+                      "s": None, "chi": None, "c1sq": None, "deformation": None})
              for line in atlas.geography_lines(args.d_range)]
     points = []
     for d in args.d_range:
         def record_at(s, d=d):
             return _point_record(d, s)
-        points.extend(_SteppedRun(record_at, run, {})
+        points.extend(_stepped_run(record_at, run, {})
                       for run in s_runs(d, range(1, zones(d).cover_yes_max + 1)))
-    rows = Rows(len(lines) + sum(map(len, points)),
-                lambda: chain(lines, chain.from_iterable(points)))
+    rows = Rows(len(lines) + sum(run.n for run in points),
+                lambda: chain(lines, points))
     return rows, GEOGRAPHY_COLUMNS
 
 

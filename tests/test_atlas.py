@@ -49,6 +49,17 @@ def test_s_for_degree_reference_values():
     assert s_for_degree(6, 1).denominator != 1
 
 
+def test_s_for_degree_equals_the_three_term_sum():
+    for m in range(4, 31):
+        den = 2 * (2 * m - 7)
+        for d in range(1, 501):
+            want = (Fraction((m - 5) * d * d, den)
+                    + Fraction(9 * (m - 3) * d, den)
+                    - Fraction((m - 3) ** 2 * (m + 4), den))
+            got = s_for_degree(m, d)
+            assert type(got) is Fraction and got == want, (m, d)
+
+
 def test_s_for_degree_validation():
     with pytest.raises(ValueError):
         s_for_degree(3, 5)
