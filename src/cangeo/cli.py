@@ -15,8 +15,8 @@ one side or the other).
 
 A command plans its rows (`Rows`) and writes nothing; `main` then streams
 them.  Closed-form rows are stepped along the runs of `classify.s_runs`
-and held column by column; the text of a run is laid out once and filled
-in row by row.  Only a command that measures imports the oracle, and with
+and held column by column; a run's rows are zipped from its columns, and
+in json its line template is laid out once and filled in row by row.  Only a command that measures imports the oracle, and with
 it numpy.
 """
 
@@ -158,8 +158,8 @@ class _Run:
 
 
 # ---------------------------------------------------------------------------
-# output formatting: the text of a run is laid out once, then filled in
-# row by row by `%`
+# output formatting: a run's rows are zipped from its columns; json lays
+# out a line template once per run and fills it in row by row by `%`
 # ---------------------------------------------------------------------------
 
 def _plain(value) -> str:
@@ -207,6 +207,12 @@ def _chunks(items):
         yield chunk
 
 
+def _encoded(values):
+    """The C encoder's text of each value, a chunk of values at a time."""
+    for chunk in _chunks(values):
+        yield from _FLAT_ROW.encode(chunk)[1:-1].split(_ITEM)
+
+
 def _json_lines(run: _Run):
     """Each row of the run as an element of _dumps of a list, without the
     comma."""
@@ -228,8 +234,7 @@ def _json_lines(run: _Run):
             slots[key] = col
         else:
             items[key] = name + ": %s"
-            values = _FLAT_ROW.encode(list(run.column(key)))
-            slots[key] = values[1:-1].split(_ITEM)
+            slots[key] = _encoded(run.column(key))
     order = sorted(items)
     template = "  {\n    " + _ITEM.join(map(items.get, order)) + "\n  }"
     if not slots:
@@ -248,8 +253,9 @@ def _write_json_array(out, runs) -> None:
     out.write("[]" if sep == "[\n" else "\n]")
 
 
-def _csv_rows(run: _Run, columns: list[str]):
-    """The run's rows as csv cells in column order, nested dicts flattened.
+def _cells(run: _Run, columns: list[str]):
+    """The run's rows as cells in column order, nested dicts flattened,
+    for csv and the table format.
 
     csv writes None as "" and any other value as str() does, so only a
     bool needs _plain, and a bool is never a varying cell."""
@@ -263,47 +269,6 @@ def _csv_rows(run: _Run, columns: list[str]):
             cells.append(repeat(_plain(value) if value.__class__ is bool
                                 else value, run.n))
     return zip(*cells)
-
-
-def _table_cells(run: _Run, columns: list[str]) -> list:
-    """Per column of the run, nested dicts flattened: the _plain text of a
-    constant column, the range of a stepped one, or the _plain texts of
-    any other."""
-    const = _flatten(run.const)
-    cells = []
-    for c in columns:
-        col = run.vary.get(c)
-        if col is None:
-            cells.append(_plain(const.get(c)))
-        elif col.__class__ is range:
-            cells.append(col)
-        else:
-            cells.append(list(map(_plain, run.column(c))))
-    return cells
-
-
-def _table_width(cell) -> int:
-    if cell.__class__ is str:
-        return len(cell)
-    if cell.__class__ is range:
-        # the longest int of a range is at one of its ends
-        return max(len(str(cell[0])), len(str(cell[-1])))
-    return max(map(len, cell))
-
-
-def _table_lines(run: _Run, columns: list[str], widths: list[int]):
-    """The run's rows as lines of the table format, without the newline."""
-    pieces, slots = [], []
-    for cell, width in zip(_table_cells(run, columns), widths):
-        if cell.__class__ is str:
-            pieces.append(cell.ljust(width).replace("%", "%%"))
-        else:
-            pieces.append(f"%-{width}{'d' if cell.__class__ is range else 's'}")
-            slots.append(cell)
-    template = "  ".join(pieces)
-    if not slots:
-        return repeat((template % ()).rstrip(), run.n)
-    return map(str.rstrip, map(template.__mod__, zip(*slots)))
 
 
 def emit(records, columns: list[str], fmt: str, single: bool = False) -> None:
@@ -331,7 +296,7 @@ def emit(records, columns: list[str], fmt: str, single: bool = False) -> None:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
-        rows = chain.from_iterable(_csv_rows(run, columns) for run in records)
+        rows = chain.from_iterable(_cells(run, columns) for run in records)
         for chunk in _chunks(chain([columns], rows)):
             writer.writerows(chunk)
             out.write(buf.getvalue())
@@ -340,14 +305,15 @@ def emit(records, columns: list[str], fmt: str, single: bool = False) -> None:
         return
     widths = [len(c) for c in columns]
     for run in records:
-        widths = list(map(max, widths,
-                          map(_table_width, _table_cells(run, columns))))
+        for cells in _cells(run, columns):
+            widths = [max(w, len(_plain(v))) for w, v in zip(widths, cells)]
     out.write("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()
               + "\n")
-    lines = chain.from_iterable(_table_lines(run, columns, widths)
-                                for run in records)
-    for chunk in _chunks(lines):
-        out.write("\n".join(chunk) + "\n")
+    rows = chain.from_iterable(_cells(run, columns) for run in records)
+    for chunk in _chunks(rows):
+        out.write("".join(
+            "  ".join(_plain(v).ljust(w) for v, w in zip(cells, widths)).rstrip()
+            + "\n" for cells in chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -615,17 +581,15 @@ def cmd_xi(args, config: RunConfig) -> tuple[Rows, list[str]]:
                  f"but no divisor of this line's class realizes it: "
                  f"{miss.reason}\n" for miss in result.unwitnessed)
     sys.stderr.write("".join(notes))
-    rows = [{"x_prime": pt.x_prime, "y": pt.y, "m": pt.m, "d": pt.d,
-             "s": pt.s, "scroll_witness": {"r": w.r, "l": w.l, "a": w.a,
-                                           "b": w.b, "c": w.c},
+    # vars, not dataclasses.asdict, which deep-copies every witness
+    rows = [{**vars(pt), "scroll_witness": dict(vars(pt.scroll_witness)),
              "certified": certified}
-            for pt in result.points for w in (pt.scroll_witness,)]
+            for pt in result.points]
     return Rows.of(rows), XI_COLUMNS
 
 
 def cmd_geography(args, config: RunConfig) -> tuple[Rows, list[str]]:
-    lines = [_Run(1, {"kind": "line", "d": line.d, "intercept": line.intercept,
-                      "x_min": line.x_min, "x_max": line.x_max,
+    lines = [_Run(1, {"kind": "line", **vars(line),
                       "s": None, "chi": None, "c1sq": None, "deformation": None})
              for line in atlas.geography_lines(args.d_range)]
     points = []

@@ -701,6 +701,23 @@ def test_geography_streams_in_flat_memory(fmt):
     assert peak_kib < 60 * 1024
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_one_long_run_of_s_streams_in_flat_memory(fmt):
+    # s 1..162000 is one run at d = 900, with a slope cell in every row;
+    # holding the run's slope texts took 26 MB more (json) and 11 MB more
+    # (table) than a run of 100 rows
+    def peak_kib(s_range):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, *RUN, "table", "--d", "900",
+             "--s", s_range, "--format", fmt],
+            capture_output=True, env=_child_env(), check=True)
+        code, peak = map(int, proc.stdout.split())
+        assert code == 0
+        return peak
+
+    assert peak_kib("1..162000") < peak_kib("1..100") + 5 * 1024
+
+
 # --- numpy only for the oracle --------------------------------------------
 
 def test_closed_forms_never_import_numpy():
