@@ -8,22 +8,13 @@ stay 2-to-1 under deformation, and where does the surface sit in the
 every dimension formula against actual linear systems of plane curves
 with fat base points.
 
-The oracle's names (`alpha_rank`, `h0_fatpoints`, ...) are loaded on first
-use, so that the closed forms never import numpy.
+Only `classify` and `defaults` load with the package.  The names of
+`atlas`, `scrolls`, `invariants` and the oracle's `fatpoints`
+(`two_component_points`, `cover_invariants`, `alpha_rank`, ...) are
+loaded from their module on first use: the closed forms never import
+numpy, and a command loads only the layers it runs.
 """
 
-from .atlas import (
-    Enumeration,
-    GeographyLine,
-    ScrollWitness,
-    TwoComponentPoint,
-    UnwitnessedCandidate,
-    find_witness,
-    geography_lines,
-    s_for_degree,
-    scroll_class_total,
-    two_component_points,
-)
 from .classify import (
     BlowupPair,
     ClassificationRecord,
@@ -39,48 +30,71 @@ from .classify import (
 )
 from .defaults import (DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, MAX_PRIME,
                        MAX_TRIALS)
-from .invariants import (
-    ModuliDims,
-    SurfaceInvariants,
-    chi_tangent_blowup,
-    cover_invariants,
-    h0_normal_of_cover,
-    moduli_dim_degree2,
-    moduli_dims_degree1,
-)
-from .scrolls import (
-    DivisorClass,
-    ScrollSpec,
-    line_for_m,
-    on_line,
-    scroll_admissible,
-    scroll_line_hits,
-    scroll_surface_invariants,
-)
 
 __version__ = "0.1.0"
 
-# Loaded from .fatpoints on first access (PEP 562), not at import.
-_ORACLE_NAMES = frozenset({
-    "FatPointSystem",
-    "MAX_ELIMINATION_WORK",
-    "MAX_MATRIX_ENTRIES",
-    "OracleLimitError",
-    "PointConfiguration",
-    "alpha_rank",
-    "h0_fatpoints",
-    "monomial_basis",
-    "vanishing_matrix",
-})
+# Name -> module, for the names loaded from their module on first access
+# (PEP 562), not at import.  `classify` stays eager: a later import of the
+# submodule cangeo.classify would rebind the package attribute `classify`
+# from the function to the module.
+_LAZY = {name: module for module, names in {
+    "atlas": (
+        "Enumeration",
+        "GeographyLine",
+        "ScrollWitness",
+        "TwoComponentPoint",
+        "UnwitnessedCandidate",
+        "find_witness",
+        "geography_lines",
+        "s_for_degree",
+        "scroll_class_total",
+        "two_component_points",
+    ),
+    "fatpoints": (
+        "FatPointSystem",
+        "MAX_ELIMINATION_WORK",
+        "MAX_MATRIX_ENTRIES",
+        "OracleLimitError",
+        "PointConfiguration",
+        "alpha_rank",
+        "h0_fatpoints",
+        "monomial_basis",
+        "vanishing_matrix",
+    ),
+    "invariants": (
+        "ModuliDims",
+        "SurfaceInvariants",
+        "chi_tangent_blowup",
+        "cover_invariants",
+        "h0_normal_of_cover",
+        "moduli_dim_degree2",
+        "moduli_dims_degree1",
+    ),
+    "scrolls": (
+        "DivisorClass",
+        "ScrollSpec",
+        "line_for_m",
+        "on_line",
+        "scroll_admissible",
+        "scroll_line_hits",
+        "scroll_surface_invariants",
+    ),
+}.items() for name in names}
 
 
 def __getattr__(name: str):
     # Not cached in the package namespace: every access reads the current
-    # binding in .fatpoints, so a name rebound there is seen here too.
-    if name in _ORACLE_NAMES:
-        from . import fatpoints
-        return getattr(fatpoints, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # binding in the defining module, so a name rebound there is seen here
+    # too.
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
 
 
 __all__ = [

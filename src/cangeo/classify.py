@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 
@@ -83,6 +83,9 @@ _SMALL_D_ZONES = {
 }
 
 
+# Every verdict reads zones(d), and a table asks for the same d row after
+# row: the thresholds of the last 1024 values of d are kept.
+@lru_cache(maxsize=1024)
 def zones(d: int) -> Zones:
     """The zone thresholds for d >= 2, every denominator cleared."""
     if d in _SMALL_D_ZONES:
@@ -233,4 +236,7 @@ def zone_rule(pair: BlowupPair) -> str:
         return "d=2 rigid cover (s=1)"
     if d <= 6:
         return f"rigid cover zone s <= (d^2-d+2)/2 = {zones(d).rigid_max}"
+    # the module's one Fraction, imported here so that importing it
+    # loads no fractions (and decimal)
+    from fractions import Fraction
     return f"rigid cover zone s <= (2d^2+13d+21)/10 = {Fraction(2 * d * d + 13 * d + 21, 10)}"

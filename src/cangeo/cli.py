@@ -16,25 +16,27 @@ one side or the other).
 A command plans its rows (`Rows`) and writes nothing; `main` then streams
 them.  Closed-form rows are stepped along the runs of `classify.s_runs`
 and held column by column; a run's rows are zipped from its columns, and
-in json its line template is laid out once and filled in row by row.  Only a command that measures imports the oracle, and with
-it numpy.
+in json its line template is laid out once and filled in row by row.
+
+Each command imports only the layers it runs: a closed-form row
+`invariants` (and `fractions`), `xi` and `geography` the atlas (and
+`scrolls`), a command that measures the oracle (and numpy), and an
+output format its encoder (`csv` or `json`).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 from itertools import chain, islice, repeat
 
-from . import atlas, invariants
-from .classify import (BlowupPair, DeformationClass, TriState, alpha_surjective, classify,
-                       s_runs, smooth_cover_exists, zone_rule, zones)
+from .classify import (BlowupPair, DeformationClass, TriState,
+                       alpha_surjective, classify, s_runs,
+                       smooth_cover_exists, zone_rule, zones)
 from .defaults import (DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, MAX_PRIME,
                        MAX_TRIALS)
 
@@ -185,17 +187,26 @@ def _flatten(record: dict) -> dict:
 # row when stdout is unbuffered (PYTHONUNBUFFERED).
 CHUNK_ROWS = 256
 
-# A flat row as one element of an indented JSON array, by the C encoder
-# (json.dumps with `indent` runs the pure-Python one): the separators put
-# each key on its own line, _json_lines adds the braces' lines.  No flat
-# value's text holds a newline, so _ITEM splits an encoded flat dict or
-# list into its items.
+# The separator of the items of a flat row as one element of an indented
+# JSON array: each key on its own line.  No flat value's text holds a
+# newline, so _ITEM splits an encoded flat dict or list into its items.
 _ITEM = ",\n    "
-_FLAT_ROW = json.JSONEncoder(sort_keys=True, separators=(_ITEM, ": "),
-                             default=str)
+
+
+@cache
+def _flat_row():
+    """The encoder of a flat row as one element of an indented JSON array,
+    by the C encoder (json.dumps with `indent` runs the pure-Python one):
+    the separators put each key on its own line, _json_lines adds the
+    braces' lines.  Built on first json use, so that csv and table output
+    never import json."""
+    import json
+    return json.JSONEncoder(sort_keys=True, separators=(_ITEM, ": "),
+                            default=str)
 
 
 def _dumps(payload) -> str:
+    import json
     # default=str writes a Fraction as "1/9"
     return json.dumps(payload, indent=2, sort_keys=True, default=str)
 
@@ -209,8 +220,9 @@ def _chunks(items):
 
 def _encoded(values):
     """The C encoder's text of each value, a chunk of values at a time."""
+    encode = _flat_row().encode
     for chunk in _chunks(values):
-        yield from _FLAT_ROW.encode(chunk)[1:-1].split(_ITEM)
+        yield from encode(chunk)[1:-1].split(_ITEM)
 
 
 def _json_lines(run: _Run):
@@ -223,11 +235,12 @@ def _json_lines(run: _Run):
                 for values in zip(*map(run.column, keys)))
     # every item in the encoder's (sorted) key order: a constant one as
     # text, a varying one as a slot
-    items = dict(zip(sorted(const), _FLAT_ROW.encode(const)[1:-1]
+    encode = _flat_row().encode
+    items = dict(zip(sorted(const), encode(const)[1:-1]
                      .replace("%", "%%").split(_ITEM))) if const else {}
     slots = {}
     for key, col in vary.items():
-        name = _FLAT_ROW.encode(key).replace("%", "%%")
+        name = encode(key).replace("%", "%%")
         if col.__class__ is range or (col.__class__ is list
                                       and set(map(type, col)) == {int}):
             items[key] = name + ": %d"
@@ -294,6 +307,7 @@ def emit(records, columns: list[str], fmt: str, single: bool = False) -> None:
         out.write("\n")
         return
     if fmt == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
         rows = chain.from_iterable(_cells(run, columns) for run in records)
@@ -353,6 +367,9 @@ def _alpha_measurements(d: int, s_values, config: RunConfig) -> list[dict]:
 
 def classification_record(pair: BlowupPair) -> dict:
     """Full closed-form row for one pair."""
+    from .invariants import (cover_invariants, moduli_dim_degree2,
+                             moduli_dims_degree1)
+
     rec = classify(pair)
     row = {
         "d": pair.d,
@@ -365,16 +382,16 @@ def classification_record(pair: BlowupPair) -> dict:
         "rule": zone_rule(pair),
     }
     if rec.smooth_cover is TriState.YES:
-        inv = invariants.cover_invariants(pair)
+        inv = cover_invariants(pair)
         row.update(p_g=inv.p_g, q=inv.q, chi=inv.chi, c1sq=inv.c1sq,
                    c2=inv.c2, slope=inv.slope)
     else:
         row.update(p_g=None, q=None, chi=None, c1sq=None, c2=None, slope=None)
     if rec.deformation is DeformationClass.DEGREE1:
-        dims = invariants.moduli_dims_degree1(pair)
+        dims = moduli_dims_degree1(pair)
         row.update(mu=dims.mu, mu2=dims.mu2, codim=dims.codim)
     elif rec.deformation is DeformationClass.DEGREE2_ALWAYS:
-        row.update(mu=invariants.moduli_dim_degree2(pair), mu2=None, codim=None)
+        row.update(mu=moduli_dim_degree2(pair), mu2=None, codim=None)
     else:
         row.update(mu=None, mu2=None, codim=None)
     return row
@@ -383,8 +400,10 @@ def classification_record(pair: BlowupPair) -> dict:
 
 def _point_record(d: int, s: int) -> dict:
     """The geography point of the cover (d, s), which must exist."""
+    from .invariants import cover_invariants
+
     pair = BlowupPair(d, s)
-    inv = invariants.cover_invariants(pair)
+    inv = cover_invariants(pair)
     return {
         "kind": "point", "d": d, "intercept": None,
         "x_min": None, "x_max": None,
@@ -405,7 +424,8 @@ def expected_h0(k: int, r: int, s: int) -> int | None:
         d = (k - 6) // 2
         pair = BlowupPair(d, s)
         if smooth_cover_exists(pair) is TriState.YES:
-            return invariants.h0_normal_of_cover(pair) + 1
+            from .invariants import h0_normal_of_cover
+            return h0_normal_of_cover(pair) + 1
     return None
 
 
@@ -515,22 +535,22 @@ def _stepped_run(record_at, run: range, derived: dict) -> _Run:
     return _Run(n, const, vary)
 
 
-# The slope c1sq/c2 of a classification row, derived cell by cell along a
-# run (SurfaceInvariants.slope)
-_SLOPE = {"slope": (Fraction, ("c1sq", "c2"))}
-
-
 def _classification_rows(d_values, s_values: range, config: RunConfig,
                          with_oracle: bool) -> tuple[Rows, list[str]]:
     """Rows by (d, s), stepped along the runs of each d.  With the oracle,
     a column is measured only after its runs are planned, which validates
     its pairs: a bad pair is reported as without the oracle; each run then
     takes its slice of the column's measurements."""
+    from fractions import Fraction
+
+    # the slope c1sq/c2 of a row, derived cell by cell along a run
+    # (SurfaceInvariants.slope)
+    derived = {"slope": (Fraction, ("c1sq", "c2"))}
     runs, mismatch = [], False
     for d in d_values:
         def record_at(s, d=d):
             return classification_record(BlowupPair(d, s))
-        d_runs = [_stepped_run(record_at, run, _SLOPE)
+        d_runs = [_stepped_run(record_at, run, derived)
                   for run in s_runs(d, s_values)]
         if with_oracle:
             alphas = _alpha_measurements(d, s_values, config)
@@ -569,7 +589,9 @@ def cmd_oracle(args, config: RunConfig) -> tuple[Rows, list[str]]:
 
 
 def cmd_xi(args, config: RunConfig) -> tuple[Rows, list[str]]:
-    result = atlas.two_component_points(args.m, args.dmax)
+    from .atlas import two_component_points
+
+    result = two_component_points(args.m, args.dmax)
     certified = args.m <= 17
     notes = []
     if not certified:
@@ -589,9 +611,11 @@ def cmd_xi(args, config: RunConfig) -> tuple[Rows, list[str]]:
 
 
 def cmd_geography(args, config: RunConfig) -> tuple[Rows, list[str]]:
+    from .atlas import geography_lines
+
     lines = [_Run(1, {"kind": "line", **vars(line),
                       "s": None, "chi": None, "c1sq": None, "deformation": None})
-             for line in atlas.geography_lines(args.d_range)]
+             for line in geography_lines(args.d_range)]
     points = []
     for d in args.d_range:
         def record_at(s, d=d):

@@ -202,6 +202,13 @@ def test_geography_range_equals_the_probe():
         assert zones(d).cover_yes_max == s - 1, d
 
 
+def test_zones_are_kept_per_d_in_a_bounded_memo():
+    # a table reads zones(d) several times a row; d itself is unbounded
+    assert zones(50) is zones(50)
+    assert zones(50) == zones.__wrapped__(50)
+    assert zones.cache_info().maxsize is not None
+
+
 def test_pair_validation():
     with pytest.raises(ValueError):
         BlowupPair(1, 1)

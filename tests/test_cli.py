@@ -723,7 +723,13 @@ def test_one_long_run_of_s_streams_in_flat_memory(fmt):
 def test_closed_forms_never_import_numpy():
     code = """
 import contextlib, io, sys
-import cangeo, cangeo.cli
+import cangeo
+assert set(cangeo.__all__) <= set(dir(cangeo))
+assert sorted(n for n in sys.modules if n.startswith("cangeo")) == [
+    "cangeo", "cangeo.classify", "cangeo.defaults"]
+import cangeo.cli, cangeo.classify
+# the eager re-export is not rebound to the submodule of the same name
+assert cangeo.classify is sys.modules["cangeo.classify"].classify
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["geography", "--d", "2..9"], ["table", "--d", "2..9", "--s", "1..50"],
                  ["classify", "4", "9"], ["xi", "--m", "5", "--dmax", "100"]):
@@ -736,6 +742,49 @@ namespace = {}
 exec("from cangeo import *", namespace)
 assert set(cangeo.__all__) <= set(namespace)
 assert namespace["alpha_rank"] is sys.modules["cangeo.fatpoints"].alpha_rank
+for name in cangeo.__all__:
+    value = getattr(cangeo, name)
+    if isinstance(value, int):   # a constant: defaults or the oracle's
+        home = sys.modules["cangeo.defaults"]
+        if name not in vars(home):
+            home = sys.modules["cangeo.fatpoints"]
+    else:
+        home = sys.modules[value.__module__]
+    assert vars(home)[name] is value, name
+    if name not in vars(cangeo):
+        # loaded on first use and never cached: a rebinding shows at once
+        setattr(home, name, None)
+        assert getattr(cangeo, name) is None, name
+        setattr(home, name, value)
+        assert name not in vars(cangeo), name
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("argv, loaded, not_loaded", [
+    (["oracle", "h0", "--k", "12", "--r", "3", "--s", "14"],
+     {"cangeo.fatpoints", "numpy"},
+     {"cangeo.atlas", "cangeo.scrolls", "cangeo.invariants"}),
+    (["table", "--d", "2..9", "--s", "1..50", "--format", "csv"],
+     {"cangeo.invariants", "csv"},
+     {"cangeo.atlas", "cangeo.scrolls", "cangeo.fatpoints", "numpy", "json"}),
+    (["table", "--d", "2..9", "--s", "1..50"],
+     {"cangeo.invariants"},
+     {"cangeo.atlas", "cangeo.scrolls", "numpy", "csv", "json"}),
+    (["xi", "--m", "5", "--dmax", "100"],
+     {"cangeo.atlas", "cangeo.scrolls"}, {"numpy"}),
+    (["geography", "--d", "2..9", "--format", "json"],
+     {"cangeo.atlas", "json"}, {"numpy"}),
+], ids=["oracle-h0", "table-csv", "table", "xi", "geography-json"])
+def test_each_command_imports_only_the_layers_it_runs(argv, loaded,
+                                                      not_loaded):
+    proc = subprocess.run([sys.executable, "-X", "importtime", *RUN[1:],
+                           *argv], capture_output=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    # -X importtime writes one line per module imported, ending in its name
+    imported = {line.rpartition("|")[2].strip()
+                for line in proc.stderr.decode().splitlines()
+                if line.startswith("import time:")}
+    assert loaded <= imported
+    assert not not_loaded & imported
