@@ -14,8 +14,8 @@ so this module states no zone boundary of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .classify import BlowupPair, DeformationClass, deformation_class, zones
 from .invariants import cover_invariants
@@ -43,8 +43,7 @@ def scroll_class_total(m: int, x_prime: int) -> Fraction:
     return Fraction(6 * x_prime, (m - 1) * (m - 2)) + 3 * (m + 1)
 
 
-@dataclass(frozen=True)
-class ScrollWitness:
+class ScrollWitness(NamedTuple):
     r: int
     l: int
     a: int
@@ -75,8 +74,7 @@ def find_witness(m: int, total: int) -> ScrollWitness | None:
     return None
 
 
-@dataclass(frozen=True)
-class TwoComponentPoint:
+class TwoComponentPoint(NamedTuple):
     """An invariant pair realized by both constructions, with its witness."""
 
     x_prime: int
@@ -87,8 +85,7 @@ class TwoComponentPoint:
     scroll_witness: ScrollWitness
 
 
-@dataclass(frozen=True)
-class UnwitnessedCandidate:
+class UnwitnessedCandidate(NamedTuple):
     """A cover on the line not matched by any divisor of this line's class.
 
     These are reported rather than silently dropped; "reason" says which
@@ -104,8 +101,7 @@ class UnwitnessedCandidate:
     reason: str
 
 
-@dataclass(frozen=True)
-class Enumeration:
+class Enumeration(NamedTuple):
     m: int
     d_max: int
     points: tuple[TwoComponentPoint, ...]
@@ -159,8 +155,7 @@ def two_component_points(m: int, d_max: int) -> Enumeration:
                        unwitnessed=tuple(unwitnessed))
 
 
-@dataclass(frozen=True)
-class GeographyLine:
+class GeographyLine(NamedTuple):
     """For one value of d, the line chi -> c1^2 and its realized x interval.
 
     The line is y = 2*x + intercept with intercept = d^2 - 3*d - 4; the

@@ -12,7 +12,6 @@ genuinely open and the code does not pretend otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
@@ -39,18 +38,33 @@ class DeformationClass(Enum):
     NOT_APPLICABLE = "not_applicable"
 
 
-@dataclass(frozen=True)
-class BlowupPair:
-    """d >= 2 and s >= 1: degree of the plane model and number of points."""
+class _Checked:
+    """Mixin for a named tuple whose subclass checks its fields in __new__:
+    _replace builds through _make, which then goes through that check."""
 
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class _BlowupPair(NamedTuple):
     d: int
     s: int
 
-    def __post_init__(self):
-        if self.d < 2:
+
+class BlowupPair(_Checked, _BlowupPair):
+    """d >= 2 and s >= 1: degree of the plane model and number of points."""
+
+    __slots__ = ()
+
+    def __new__(cls, d: int, s: int):
+        if d < 2:
             raise ValueError("d must be at least 2")
-        if self.s < 1:
+        if s < 1:
             raise ValueError("s must be at least 1")
+        return super().__new__(cls, d, s)
 
 
 # The seven pairs whose covers deform to birational canonical morphisms,
@@ -189,8 +203,7 @@ def deformation_class(pair: BlowupPair) -> DeformationClass:
         "this is a bug in the zone arithmetic")
 
 
-@dataclass(frozen=True)
-class ClassificationRecord:
+class ClassificationRecord(NamedTuple):
     pair: BlowupPair
     very_ample: TriState
     smooth_cover: TriState

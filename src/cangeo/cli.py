@@ -30,9 +30,9 @@ import argparse
 import io
 import os
 import sys
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain, islice, repeat
+from typing import NamedTuple
 
 from .classify import (BlowupPair, DeformationClass, TriState,
                        alpha_surjective, classify, s_runs,
@@ -71,8 +71,7 @@ GEOGRAPHY_COLUMNS = ["kind", "d", "intercept", "x_min", "x_max",
                      "s", "chi", "c1sq", "deformation"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     seed: int
     trials: int
     prime: int
@@ -603,8 +602,9 @@ def cmd_xi(args, config: RunConfig) -> tuple[Rows, list[str]]:
                  f"but no divisor of this line's class realizes it: "
                  f"{miss.reason}\n" for miss in result.unwitnessed)
     sys.stderr.write("".join(notes))
-    # vars, not dataclasses.asdict, which deep-copies every witness
-    rows = [{**vars(pt), "scroll_witness": dict(vars(pt.scroll_witness)),
+    # records as dicts: a record is a tuple, which json and csv would
+    # write as a list
+    rows = [{**pt._asdict(), "scroll_witness": pt.scroll_witness._asdict(),
              "certified": certified}
             for pt in result.points]
     return Rows.of(rows), XI_COLUMNS
@@ -613,7 +613,7 @@ def cmd_xi(args, config: RunConfig) -> tuple[Rows, list[str]]:
 def cmd_geography(args, config: RunConfig) -> tuple[Rows, list[str]]:
     from .atlas import geography_lines
 
-    lines = [_Run(1, {"kind": "line", **vars(line),
+    lines = [_Run(1, {"kind": "line", **line._asdict(),
                       "s": None, "chi": None, "c1sq": None, "deformation": None})
              for line in geography_lines(args.d_range)]
     points = []

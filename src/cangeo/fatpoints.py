@@ -12,10 +12,12 @@ unlikely (see the failure bound discussed in the README).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from typing import NamedTuple
 
 import numpy as np
 
+from .classify import _Checked
 from .defaults import (DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, MAX_PRIME,
                        MAX_TRIALS)
 
@@ -283,21 +285,25 @@ def monomial_basis(k: int) -> list[tuple[int, int, int]]:
     return [(i, j, k - i - j) for i in range(k, -1, -1) for j in range(k - i, -1, -1)]
 
 
-@dataclass(frozen=True)
-class FatPointSystem:
-    """Degree-k plane curves with r-fold points at s unspecified points."""
-
+class _FatPointSystem(NamedTuple):
     degree: int
     multiplicity: int
     point_count: int
 
-    def __post_init__(self):
-        if self.degree < 0:
+
+class FatPointSystem(_Checked, _FatPointSystem):
+    """Degree-k plane curves with r-fold points at s unspecified points."""
+
+    __slots__ = ()
+
+    def __new__(cls, degree: int, multiplicity: int, point_count: int):
+        if degree < 0:
             raise ValueError("degree must be nonnegative")
-        if self.multiplicity < 1:
+        if multiplicity < 1:
             raise ValueError("multiplicity must be positive")
-        if self.point_count < 1:
+        if point_count < 1:
             raise ValueError("point count must be positive")
+        return super().__new__(cls, degree, multiplicity, point_count)
 
     @property
     def ambient_dim(self) -> int:
@@ -314,15 +320,98 @@ class FatPointSystem:
         return max(0, self.ambient_dim - self.conditions)
 
 
-@dataclass(frozen=True)
-class PointConfiguration:
-    """Distinct affine points over Z/pZ, regenerable from a seed."""
+_MASK32 = 2 ** 32 - 1
+_MASK64 = 2 ** 64 - 1
+_MASK128 = 2 ** 128 - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
+
+def _words32(n: int) -> list[int]:
+    """n as little-endian 32-bit words, at least one."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_sequence(seed: int, trial: int) -> tuple[int, int]:
+    """The (initstate, initseq) pair with which numpy's
+    PCG64(SeedSequence(entropy=seed, spawn_key=(trial,))) seeds itself:
+    w0 * 2**64 + w1 and w2 * 2**64 + w3 for the words w0..w3 of the
+    sequence's generate_state(4, uint64)."""
+    words = _words32(seed)
+    # a spawn key follows entropy padded with zeros to the pool's 4 words
+    words += [0] * (4 - len(words)) + _words32(trial)
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = 0x8B51F9DD
+    halves = []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _MASK32
+        value = value * const & _MASK32
+        halves.append(value ^ value >> 16)
+    # 32-bit words 2k and 2k + 1 are the low and high halves of word k
+    w0, w1, w2, w3 = (halves[i] | halves[i + 1] << 32 for i in (0, 2, 4, 6))
+    return w0 << 64 | w1, w2 << 64 | w3
+
+
+def _draws_below(p: int, initstate: int, initseq: int):
+    """numpy's Generator(PCG64).integers(0, p) for 1 <= p < 2**32, one
+    value at a time.
+
+    The 128-bit LCG is seeded as pcg64_srandom_r seeds it; each step's
+    XSL-RR output gives two 32-bit draws, its low half first.  A draw u
+    maps to u * p >> 32 unless the low 32 bits of u * p fall below
+    2**32 mod p, where it is rejected (Lemire's method).
+    """
+    inc = (initseq << 1 | 1) & _MASK128
+    # from state 0: one step (to inc), add initstate, one more step
+    state = ((inc + initstate) * _PCG64_MULTIPLIER + inc) & _MASK128
+    threshold = 2 ** 32 % p
+    while True:
+        state = (state * _PCG64_MULTIPLIER + inc) & _MASK128
+        word = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        word = (word >> rot | word << (64 - rot)) & _MASK64
+        for u in (word & _MASK32, word >> 32):
+            u *= p
+            if u & _MASK32 >= threshold:
+                yield u >> 32
+
+
+class _PointConfiguration(NamedTuple):
     points: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
+
+class PointConfiguration(_Checked, _PointConfiguration):
+    """Distinct affine points over Z/pZ, regenerable from a seed."""
+
+    __slots__ = ()
+
+    def __new__(cls, points: tuple[tuple[int, int], ...]):
+        if len(set(points)) != len(points):
             raise ValueError("points must be pairwise distinct")
+        return super().__new__(cls, points)
 
     @classmethod
     def random(cls, count: int, seed: int, p: int = DEFAULT_PRIME,
@@ -330,20 +419,25 @@ class PointConfiguration:
         """Uniform distinct points in the affine chart z = 1.
 
         Each (seed, trial) pair gets its own child stream, so trials are
-        independent and the whole draw is reproducible bit for bit.  Points
-        are drawn as (x, y) pairs, in rounds of as many pairs as points are
-        still missing, and a repeated point is skipped.  That consumes the
-        stream exactly as one (x, y) draw per point with a redraw on a
-        collision does, so random(s + 1) extends random(s).
+        independent and the whole draw is reproducible bit for bit: the
+        stream of numpy's SeedSequence(entropy=seed, spawn_key=(trial,)),
+        PCG64 and Generator.integers(0, p), computed here without numpy.
+        Points are drawn as (x, y) pairs and a repeated point is drawn
+        again, so random(s + 1) extends random(s).
         """
+        # Python ints: a numpy integer p would overflow in the draw's u * p
+        seed, trial, p = map(operator.index, (seed, trial, p))
+        if seed < 0 or trial < 0:
+            raise ValueError("seed and trial must be nonnegative")
+        if p < 1:
+            raise ValueError("modulus must be positive")
+        _check_modulus(p)
         if count > p * p:
             raise ValueError(f"Z/{p}Z has {p * p} points, not {count}")
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
-        gen = np.random.Generator(np.random.PCG64(ss))
+        draws = _draws_below(p, *_seed_sequence(seed, trial))
         pts: dict[tuple[int, int], None] = {}   # ordered set
         while len(pts) < count:
-            batch = gen.integers(0, p, size=(count - len(pts), 2))
-            pts.update(dict.fromkeys(map(tuple, batch.tolist())))
+            pts[next(draws), next(draws)] = None
         return cls(points=tuple(pts))
 
 

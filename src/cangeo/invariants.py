@@ -8,25 +8,30 @@ acts as a self check rather than a tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .classify import BlowupPair, DeformationClass, TriState, deformation_class, smooth_cover_exists
+from .classify import (BlowupPair, DeformationClass, TriState, _Checked, deformation_class,
+                       smooth_cover_exists)
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class _SurfaceInvariants(NamedTuple):
     p_g: int
     q: int
     chi: int
     c1sq: int
     c2: int
 
-    def __post_init__(self):
-        if 12 * self.chi != self.c1sq + self.c2:
+
+class SurfaceInvariants(_Checked, _SurfaceInvariants):
+    __slots__ = ()
+
+    def __new__(cls, p_g: int, q: int, chi: int, c1sq: int, c2: int):
+        if 12 * chi != c1sq + c2:
             raise ValueError("Noether's formula violated")
-        if self.chi != self.p_g - self.q + 1:
+        if chi != p_g - q + 1:
             raise ValueError("chi must equal p_g - q + 1")
+        return super().__new__(cls, p_g, q, chi, c1sq, c2)
 
     @property
     def slope(self) -> Fraction:
@@ -34,17 +39,21 @@ class SurfaceInvariants:
         return Fraction(self.c1sq, self.c2)
 
 
-@dataclass(frozen=True)
-class ModuliDims:
+class _ModuliDims(NamedTuple):
     mu: int    # dimension of the moduli component
     mu2: int   # dimension of its degree-2-canonical-map stratum
     codim: int
 
-    def __post_init__(self):
-        if not (self.mu >= self.mu2 >= 0):
+
+class ModuliDims(_Checked, _ModuliDims):
+    __slots__ = ()
+
+    def __new__(cls, mu: int, mu2: int, codim: int):
+        if not (mu >= mu2 >= 0):
             raise ValueError("need mu >= mu2 >= 0")
-        if self.codim != self.mu - self.mu2:
+        if codim != mu - mu2:
             raise ValueError("codim must be mu - mu2")
+        return super().__new__(cls, mu, mu2, codim)
 
 
 def cover_invariants(pair: BlowupPair) -> SurfaceInvariants:

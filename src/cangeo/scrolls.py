@@ -11,20 +11,26 @@ the exclusion test here exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
+
+from .classify import _Checked
 
 
-@dataclass(frozen=True)
-class ScrollSpec:
+class _ScrollSpec(NamedTuple):
     a: int
     b: int
     c: int
 
-    def __post_init__(self):
-        if not (0 <= self.a <= self.b <= self.c):
+
+class ScrollSpec(_Checked, _ScrollSpec):
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int):
+        if not (0 <= a <= b <= c):
             raise ValueError("need 0 <= a <= b <= c")
+        return super().__new__(cls, a, b, c)
 
     @property
     def r(self) -> int:
@@ -36,14 +42,18 @@ class ScrollSpec:
         return self.r - 3
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class _DivisorClass(NamedTuple):
     m: int
     l: int
 
-    def __post_init__(self):
-        if self.m < 4:
+
+class DivisorClass(_Checked, _DivisorClass):
+    __slots__ = ()
+
+    def __new__(cls, m: int, l: int):
+        if m < 4:
             raise ValueError("m must be at least 4")
+        return super().__new__(cls, m, l)
 
 
 def scroll_surface_invariants(spec: ScrollSpec, cls: DivisorClass) -> tuple[int, int]:

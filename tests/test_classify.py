@@ -217,6 +217,21 @@ def test_pair_validation():
     BlowupPair(2, 1)
 
 
+def test_records_are_immutable_named_tuples():
+    pair = BlowupPair(d=4, s=9)
+    assert pair == BlowupPair(4, 9) and hash(pair) == hash(BlowupPair(4, 9))
+    assert repr(pair) == "BlowupPair(d=4, s=9)"
+    assert pair._asdict() == {"d": 4, "s": 9}
+    assert pair._replace(s=10) == BlowupPair(4, 10)
+    with pytest.raises(AttributeError):
+        pair.d = 5
+    # _replace checks the fields as the constructor does
+    with pytest.raises(ValueError):
+        pair._replace(d=1)
+    rec = classify(pair)
+    assert rec.pair is pair and rec._asdict()["deformation"] is rec.deformation
+
+
 # --- very ampleness -------------------------------------------------------
 
 @pytest.mark.parametrize("d,s,want", [

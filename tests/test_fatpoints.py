@@ -497,6 +497,43 @@ def test_batched_draw_reproduces_the_scalar_stream():
     assert cases == 750
 
 
+def test_draw_reproduces_numpy_on_long_seeds_and_spawn_keys():
+    # seeds of five 32-bit words, spawn keys of two, and the extreme moduli
+    cases = 0
+    for p in (2, 3, MAX_PRIME):
+        for seed in (2 ** 128 + 7, 2 ** 160 - 1):
+            for trial in (0, 2 ** 32 + 1):
+                for count in {1, min(p * p, 4), min(p * p, 40)}:
+                    got = PointConfiguration.random(count, seed, p, trial=trial)
+                    assert got.points == _scalar_points(count, seed, p, trial), (
+                        p, seed, trial, count)
+                    cases += 1
+    assert cases == 32
+    # numpy integers draw the stream of the Python ints they hold
+    assert PointConfiguration.random(
+        40, np.uint64(2 ** 64 - 1), np.int64(MAX_PRIME), trial=np.int64(3)
+    ) == PointConfiguration.random(40, 2 ** 64 - 1, MAX_PRIME, trial=3)
+
+
+def test_draw_rejects_its_inputs_before_drawing(monkeypatch):
+    # numpy draws 64 bits at a time from p = 2**32 on, and a negative int
+    # has no 32-bit words: the draw here would never end on either
+    def no_draw(seed, trial):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(fatpoints, "_seed_sequence", no_draw)
+    with pytest.raises(OracleLimitError, match="overflow"):
+        PointConfiguration.random(2, 0xC0FFEE, 4294967311)
+    with pytest.raises(OracleLimitError, match="overflow"):
+        PointConfiguration.random(2, 0xC0FFEE, MAX_PRIME + 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        PointConfiguration.random(2, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        PointConfiguration.random(2, 0xC0FFEE, trial=-1)
+    with pytest.raises(ValueError, match="positive"):
+        PointConfiguration.random(0, 0xC0FFEE, 0)
+
+
 def test_more_points_than_the_plane_holds_are_rejected():
     # Z/5Z has 25 points: the draw takes every one, and cannot take 26
     assert len(PointConfiguration.random(25, 0xC0FFEE, 5).points) == 25

@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -225,7 +224,7 @@ def test_a_run_across_chunks_with_negative_steps_and_awkward_text(capsys):
 
 
 def test_geography_points_match_the_per_pair_points(capsys):
-    lines = [{"kind": "line", **asdict(line), "s": None, "chi": None,
+    lines = [{"kind": "line", **line._asdict(), "s": None, "chi": None,
               "c1sq": None, "deformation": None}
              for line in geography_lines(range(2, 121))]
     # csv over d 2..120; the pure-Python json.dumps reference only to 40
