@@ -82,6 +82,12 @@ _LAZY = {name: module for module, names in {
 }.items() for name in names}
 
 
+# Every public name is written once: in an import above or in _LAZY.  The
+# imports also bind the submodule `defaults`, which is not exported.
+__all__ = sorted(name for name in [*globals(), *_LAZY]
+                 if name[0] != "_" and name != "defaults")
+
+
 def __getattr__(name: str):
     # Not cached in the package namespace: every access reads the current
     # binding in the defining module, so a name rebound there is seen here
@@ -96,55 +102,3 @@ def __getattr__(name: str):
 def __dir__():
     return sorted({*globals(), *__all__})
 
-
-__all__ = [
-    "BlowupPair",
-    "ClassificationRecord",
-    "DEFAULT_PRIME",
-    "DEFAULT_SEED",
-    "DEFAULT_TRIALS",
-    "DeformationClass",
-    "DivisorClass",
-    "Enumeration",
-    "FatPointSystem",
-    "GeographyLine",
-    "MAX_ELIMINATION_WORK",
-    "MAX_MATRIX_ENTRIES",
-    "MAX_PRIME",
-    "MAX_TRIALS",
-    "ModuliDims",
-    "OracleLimitError",
-    "PointConfiguration",
-    "ScrollSpec",
-    "ScrollWitness",
-    "SurfaceInvariants",
-    "TriState",
-    "TwoComponentPoint",
-    "UnwitnessedCandidate",
-    "alpha_rank",
-    "alpha_surjective",
-    "chi_tangent_blowup",
-    "classify",
-    "cover_invariants",
-    "deformation_class",
-    "ext1_nonzero",
-    "find_witness",
-    "geography_lines",
-    "h0_fatpoints",
-    "h0_normal_of_cover",
-    "line_for_m",
-    "moduli_dim_degree2",
-    "moduli_dims_degree1",
-    "monomial_basis",
-    "on_line",
-    "s_for_degree",
-    "scroll_admissible",
-    "scroll_class_total",
-    "scroll_line_hits",
-    "scroll_surface_invariants",
-    "smooth_cover_exists",
-    "two_component_points",
-    "vanishing_matrix",
-    "very_ample",
-    "zone_rule",
-]

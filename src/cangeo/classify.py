@@ -13,7 +13,7 @@ genuinely open and the code does not pretend otherwise.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import NamedTuple
 
 
@@ -38,33 +38,35 @@ class DeformationClass(Enum):
     NOT_APPLICABLE = "not_applicable"
 
 
-class _Checked:
-    """Mixin for a named tuple whose subclass checks its fields in __new__:
-    _replace builds through _make, which then goes through that check."""
+def _checked(cls):
+    """Class decorator for a NamedTuple whose `_check(self)` vets its
+    fields: the check runs on every construction, by a call, `_make`,
+    `_replace` (through `_make`), `copy.copy` or unpickling."""
+    new = cls.__new__
 
-    __slots__ = ()
+    @wraps(new)
+    def __new__(cls, *args, **kwargs):
+        self = new(cls, *args, **kwargs)
+        self._check()
+        return self
 
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda cls, fields: cls(*fields))
+    return cls
 
 
-class _BlowupPair(NamedTuple):
+@_checked
+class BlowupPair(NamedTuple):
+    """d >= 2 and s >= 1: degree of the plane model and number of points."""
+
     d: int
     s: int
 
-
-class BlowupPair(_Checked, _BlowupPair):
-    """d >= 2 and s >= 1: degree of the plane model and number of points."""
-
-    __slots__ = ()
-
-    def __new__(cls, d: int, s: int):
-        if d < 2:
+    def _check(self):
+        if self.d < 2:
             raise ValueError("d must be at least 2")
-        if s < 1:
+        if self.s < 1:
             raise ValueError("s must be at least 1")
-        return super().__new__(cls, d, s)
 
 
 # The seven pairs whose covers deform to birational canonical morphisms,

@@ -382,13 +382,12 @@ def classification_record(pair: BlowupPair) -> dict:
     }
     if rec.smooth_cover is TriState.YES:
         inv = cover_invariants(pair)
-        row.update(p_g=inv.p_g, q=inv.q, chi=inv.chi, c1sq=inv.c1sq,
-                   c2=inv.c2, slope=inv.slope)
+        row.update(inv._asdict(), slope=inv.slope)
     else:
         row.update(p_g=None, q=None, chi=None, c1sq=None, c2=None, slope=None)
     if rec.deformation is DeformationClass.DEGREE1:
         dims = moduli_dims_degree1(pair)
-        row.update(mu=dims.mu, mu2=dims.mu2, codim=dims.codim)
+        row.update(dims._asdict())
     elif rec.deformation is DeformationClass.DEGREE2_ALWAYS:
         row.update(mu=moduli_dim_degree2(pair), mu2=None, codim=None)
     else:
@@ -537,21 +536,26 @@ def _stepped_run(record_at, run: range, derived: dict) -> _Run:
 def _classification_rows(d_values, s_values: range, config: RunConfig,
                          with_oracle: bool) -> tuple[Rows, list[str]]:
     """Rows by (d, s), stepped along the runs of each d.  With the oracle,
-    a column is measured only after its runs are planned, which validates
-    its pairs: a bad pair is reported as without the oracle; each run then
-    takes its slice of the column's measurements."""
+    every d's runs are planned, which validates the pairs, and every column
+    passes alpha_rank's checks before any is measured; each run then takes
+    its slice of its column's measurements."""
     from fractions import Fraction
 
     # the slope c1sq/c2 of a row, derived cell by cell along a run
     # (SurfaceInvariants.slope)
     derived = {"slope": (Fraction, ("c1sq", "c2"))}
-    runs, mismatch = [], False
+    planned = []
     for d in d_values:
         def record_at(s, d=d):
             return classification_record(BlowupPair(d, s))
-        d_runs = [_stepped_run(record_at, run, derived)
-                  for run in s_runs(d, s_values)]
-        if with_oracle:
+        planned.append([_stepped_run(record_at, run, derived)
+                        for run in s_runs(d, s_values)])
+    mismatch = False
+    if with_oracle:
+        from .fatpoints import _alpha_floors
+        for d in d_values:
+            _alpha_floors(d, s_values, config.trials)
+        for d, d_runs in zip(d_values, planned):
             alphas = _alpha_measurements(d, s_values, config)
             measured = {f"alpha_{key}": [alpha[key] for alpha in alphas]
                         for key in ("rank", "dim_source", "dim_target", "coker")}
@@ -562,8 +566,8 @@ def _classification_rows(d_values, s_values: range, config: RunConfig,
                 run.vary.update((key, col[start:start + run.n])
                                 for key, col in measured.items())
                 start += run.n
-        runs.extend(d_runs)
-    rows = Rows(len(d_values) * len(s_values), lambda: runs, mismatch)
+    rows = Rows(len(d_values) * len(s_values),
+                lambda: chain.from_iterable(planned), mismatch)
     return rows, CLASSIFY_ORACLE_COLUMNS if with_oracle else CLASSIFY_COLUMNS
 
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classify import _Checked
+from .classify import _checked
 from .defaults import (DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, MAX_PRIME,
                        MAX_TRIALS)
 
@@ -34,6 +34,8 @@ class OracleLimitError(ValueError):
 
 
 def _check_modulus(p: int) -> None:
+    if p < 2:
+        raise ValueError(f"modulus {p} is not a positive integer above 1")
     if p > MAX_PRIME:
         raise OracleLimitError(f"modulus {p} is above {MAX_PRIME}, where "
                                "int64 products of residues overflow")
@@ -285,25 +287,21 @@ def monomial_basis(k: int) -> list[tuple[int, int, int]]:
     return [(i, j, k - i - j) for i in range(k, -1, -1) for j in range(k - i, -1, -1)]
 
 
-class _FatPointSystem(NamedTuple):
+@_checked
+class FatPointSystem(NamedTuple):
+    """Degree-k plane curves with r-fold points at s unspecified points."""
+
     degree: int
     multiplicity: int
     point_count: int
 
-
-class FatPointSystem(_Checked, _FatPointSystem):
-    """Degree-k plane curves with r-fold points at s unspecified points."""
-
-    __slots__ = ()
-
-    def __new__(cls, degree: int, multiplicity: int, point_count: int):
-        if degree < 0:
+    def _check(self):
+        if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        if multiplicity < 1:
+        if self.multiplicity < 1:
             raise ValueError("multiplicity must be positive")
-        if point_count < 1:
+        if self.point_count < 1:
             raise ValueError("point count must be positive")
-        return super().__new__(cls, degree, multiplicity, point_count)
 
     @property
     def ambient_dim(self) -> int:
@@ -399,19 +397,15 @@ def _draws_below(p: int, initstate: int, initseq: int):
                 yield u >> 32
 
 
-class _PointConfiguration(NamedTuple):
-    points: tuple[tuple[int, int], ...]
-
-
-class PointConfiguration(_Checked, _PointConfiguration):
+@_checked
+class PointConfiguration(NamedTuple):
     """Distinct affine points over Z/pZ, regenerable from a seed."""
 
-    __slots__ = ()
+    points: tuple[tuple[int, int], ...]
 
-    def __new__(cls, points: tuple[tuple[int, int], ...]):
-        if len(set(points)) != len(points):
+    def _check(self):
+        if len(set(self.points)) != len(self.points):
             raise ValueError("points must be pairwise distinct")
-        return super().__new__(cls, points)
 
     @classmethod
     def random(cls, count: int, seed: int, p: int = DEFAULT_PRIME,
@@ -429,8 +423,6 @@ class PointConfiguration(_Checked, _PointConfiguration):
         seed, trial, p = map(operator.index, (seed, trial, p))
         if seed < 0 or trial < 0:
             raise ValueError("seed and trial must be nonnegative")
-        if p < 1:
-            raise ValueError("modulus must be positive")
         _check_modulus(p)
         if count > p * p:
             raise ValueError(f"Z/{p}Z has {p * p} points, not {count}")
@@ -460,16 +452,15 @@ def vanishing_matrix(cfg: PointConfiguration, system: FatPointSystem,
     x^i y^j is falling(i, a) falling(j, b) x^(i-a) y^(j-b), zero unless
     i >= a and j >= b.
     """
-    pts = cfg.points
-    if len(pts) != system.point_count:
+    if len(cfg.points) != system.point_count:
         raise ValueError("configuration size does not match the system")
-    if len(set(pts)) != len(pts):
-        raise ValueError("repeated point in configuration")
     _check_modulus(p)
+    # distinct integers can be one point over Z/pZ: the residues are checked
+    residues = PointConfiguration(tuple((x % p, y % p) for x, y in cfg.points))
     k = system.degree
     r = system.multiplicity
     _check_size(system.conditions, system.ambient_dim)
-    xy = np.array([(x % p, y % p) for x, y in pts], dtype=np.int64)
+    xy = np.array(residues.points, dtype=np.int64)
     xpow = _power_table(xy[:, 0], k, p)
     ypow = _power_table(xy[:, 1], k, p)
     # falling[a, i] = i (i-1) ... (i-a+1) mod p, which is zero for i < a
@@ -630,6 +621,28 @@ def _most_generic(triple: tuple[int, int, int]) -> tuple[int, int, int]:
     return dim_source, dim_target, -rank
 
 
+def _alpha_floors(d: int, s_values, trials: int) -> list[tuple[int, int, int]]:
+    """alpha_rank's checks before anything is drawn; returns the floor of
+    the entry for each s.  The caps cover the larger vanishing matrix,
+    which grows with s, and the product matrix, at least 3 * expected_h0
+    of the lower system rows, which shrinks; every s is checked, in order,
+    so the error names the first s over a cap."""
+    if d < 2:
+        raise ValueError("need degree at least 2")
+    if not s_values or min(s_values) < 1:
+        raise ValueError("need at least one point")
+    _check_trials(trials)
+    n_low, n_high = d * (d + 1) // 2, (d + 1) * (d + 2) // 2
+    floor = []
+    for s in s_values:
+        source, target = 3 * max(0, n_low - s), max(0, n_high - s)
+        for rows in (s, source):
+            _check_size(rows, n_high)
+            _check_work(rows, n_high)
+        floor.append((min(source, target), source, target))
+    return floor
+
+
 def alpha_rank(d: int, s_values, trials: int = DEFAULT_TRIALS,
                seed: int = DEFAULT_SEED,
                p: int = DEFAULT_PRIME) -> list[tuple[int, int, int]]:
@@ -657,26 +670,8 @@ def alpha_rank(d: int, s_values, trials: int = DEFAULT_TRIALS,
     triple is the floor of the entry.  Once every entry sits on its
     floor no later trial could replace one, and the loop ends.
     """
-    if d < 2:
-        raise ValueError("need degree at least 2")
     s_values = list(s_values)
-    if not s_values or min(s_values) < 1:
-        raise ValueError("need at least one point")
-    _check_trials(trials)
-    n_high = FatPointSystem(d, 1, 1).ambient_dim
-    # Before anything is drawn: the larger vanishing matrix, and the
-    # product matrix, which has at least 3 * expected_h0 of the lower
-    # system rows.  The first grows with s and the second shrinks, so both
-    # ends of a range are covered; every s is checked, in order, so the
-    # error names the first s over a cap.
-    floor = []
-    for s in s_values:
-        source = 3 * FatPointSystem(d - 1, 1, s).expected_h0
-        target = FatPointSystem(d, 1, s).expected_h0
-        for rows in (s, source):
-            _check_size(rows, n_high)
-            _check_work(rows, n_high)
-        floor.append((min(source, target), source, target))
+    floor = _alpha_floors(d, s_values, trials)
     best = None
     for t in range(trials):
         column = _alpha_trial(d, PointConfiguration.random(

@@ -11,27 +11,23 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .classify import (BlowupPair, DeformationClass, TriState, _Checked, deformation_class,
+from .classify import (BlowupPair, DeformationClass, TriState, _checked, deformation_class,
                        smooth_cover_exists)
 
 
-class _SurfaceInvariants(NamedTuple):
+@_checked
+class SurfaceInvariants(NamedTuple):
     p_g: int
     q: int
     chi: int
     c1sq: int
     c2: int
 
-
-class SurfaceInvariants(_Checked, _SurfaceInvariants):
-    __slots__ = ()
-
-    def __new__(cls, p_g: int, q: int, chi: int, c1sq: int, c2: int):
-        if 12 * chi != c1sq + c2:
+    def _check(self):
+        if 12 * self.chi != self.c1sq + self.c2:
             raise ValueError("Noether's formula violated")
-        if chi != p_g - q + 1:
+        if self.chi != self.p_g - self.q + 1:
             raise ValueError("chi must equal p_g - q + 1")
-        return super().__new__(cls, p_g, q, chi, c1sq, c2)
 
     @property
     def slope(self) -> Fraction:
@@ -39,21 +35,17 @@ class SurfaceInvariants(_Checked, _SurfaceInvariants):
         return Fraction(self.c1sq, self.c2)
 
 
-class _ModuliDims(NamedTuple):
+@_checked
+class ModuliDims(NamedTuple):
     mu: int    # dimension of the moduli component
     mu2: int   # dimension of its degree-2-canonical-map stratum
     codim: int
 
-
-class ModuliDims(_Checked, _ModuliDims):
-    __slots__ = ()
-
-    def __new__(cls, mu: int, mu2: int, codim: int):
-        if not (mu >= mu2 >= 0):
+    def _check(self):
+        if not (self.mu >= self.mu2 >= 0):
             raise ValueError("need mu >= mu2 >= 0")
-        if codim != mu - mu2:
+        if self.codim != self.mu - self.mu2:
             raise ValueError("codim must be mu - mu2")
-        return super().__new__(cls, mu, mu2, codim)
 
 
 def cover_invariants(pair: BlowupPair) -> SurfaceInvariants:

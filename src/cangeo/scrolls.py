@@ -15,22 +15,18 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
-from .classify import _Checked
+from .classify import _checked
 
 
-class _ScrollSpec(NamedTuple):
+@_checked
+class ScrollSpec(NamedTuple):
     a: int
     b: int
     c: int
 
-
-class ScrollSpec(_Checked, _ScrollSpec):
-    __slots__ = ()
-
-    def __new__(cls, a: int, b: int, c: int):
-        if not (0 <= a <= b <= c):
+    def _check(self):
+        if not (0 <= self.a <= self.b <= self.c):
             raise ValueError("need 0 <= a <= b <= c")
-        return super().__new__(cls, a, b, c)
 
     @property
     def r(self) -> int:
@@ -42,18 +38,14 @@ class ScrollSpec(_Checked, _ScrollSpec):
         return self.r - 3
 
 
-class _DivisorClass(NamedTuple):
+@_checked
+class DivisorClass(NamedTuple):
     m: int
     l: int
 
-
-class DivisorClass(_Checked, _DivisorClass):
-    __slots__ = ()
-
-    def __new__(cls, m: int, l: int):
-        if m < 4:
+    def _check(self):
+        if self.m < 4:
             raise ValueError("m must be at least 4")
-        return super().__new__(cls, m, l)
 
 
 def scroll_surface_invariants(spec: ScrollSpec, cls: DivisorClass) -> tuple[int, int]:

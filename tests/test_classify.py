@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 from math import ceil, floor
 
@@ -22,6 +24,9 @@ from cangeo.classify import (
     zone_rule,
     zones,
 )
+from cangeo.fatpoints import FatPointSystem, PointConfiguration
+from cangeo.invariants import ModuliDims, SurfaceInvariants
+from cangeo.scrolls import DivisorClass, ScrollSpec
 
 Y, N, U = TriState.YES, TriState.NO, TriState.UNKNOWN
 
@@ -215,19 +220,56 @@ def test_pair_validation():
     with pytest.raises(ValueError):
         BlowupPair(3, 0)
     BlowupPair(2, 1)
+    assert BlowupPair(4, 9)._replace(s=10) == BlowupPair(4, 10)
 
 
-def test_records_are_immutable_named_tuples():
-    pair = BlowupPair(d=4, s=9)
-    assert pair == BlowupPair(4, 9) and hash(pair) == hash(BlowupPair(4, 9))
-    assert repr(pair) == "BlowupPair(d=4, s=9)"
-    assert pair._asdict() == {"d": 4, "s": 9}
-    assert pair._replace(s=10) == BlowupPair(4, 10)
+# Each checked record: fields that pass, fields that fail with the message,
+# and the repr of the passing ones.
+CHECKED_RECORDS = [
+    (BlowupPair, (4, 9), (1, 9), "d must be at least 2",
+     "BlowupPair(d=4, s=9)"),
+    (FatPointSystem, (4, 2, 5), (4, 0, 5), "multiplicity must be positive",
+     "FatPointSystem(degree=4, multiplicity=2, point_count=5)"),
+    (PointConfiguration, (((0, 0), (1, 2)),), (((0, 0), (0, 0)),),
+     "pairwise distinct", "PointConfiguration(points=((0, 0), (1, 2)))"),
+    (SurfaceInvariants, (5, 0, 6, 10, 62), (5, 0, 6, 10, 61), "Noether",
+     "SurfaceInvariants(p_g=5, q=0, chi=6, c1sq=10, c2=62)"),
+    (ModuliDims, (10, 7, 3), (10, 7, 2), "codim must be mu - mu2",
+     "ModuliDims(mu=10, mu2=7, codim=3)"),
+    (ScrollSpec, (1, 2, 2), (2, 1, 2), "need 0 <= a <= b <= c",
+     "ScrollSpec(a=1, b=2, c=2)"),
+    (DivisorClass, (4, -4), (3, -4), "m must be at least 4",
+     "DivisorClass(m=4, l=-4)"),
+]
+
+
+@pytest.mark.parametrize("cls, good, bad, message, text", CHECKED_RECORDS,
+                         ids=[row[0].__name__ for row in CHECKED_RECORDS])
+def test_records_are_immutable_named_tuples(cls, good, bad, message, text):
+    rec = cls(*good)
+    assert rec == cls(**dict(zip(cls._fields, good))) == good
+    assert hash(rec) == hash(good) and type(rec) is cls
+    assert repr(rec) == text
+    assert rec._asdict() == dict(zip(cls._fields, good))
+    assert not hasattr(rec, "__dict__")
     with pytest.raises(AttributeError):
-        pair.d = 5
-    # _replace checks the fields as the constructor does
-    with pytest.raises(ValueError):
-        pair._replace(d=1)
+        setattr(rec, cls._fields[0], bad[0])
+    for same in (cls._make(good), rec._replace(), copy.copy(rec),
+                 pickle.loads(pickle.dumps(rec))):
+        assert same == rec and type(same) is cls
+    # every way to build a record checks its fields as the constructor does
+    changed = {f: b for f, g, b in zip(cls._fields, good, bad) if g != b}
+    unchecked = tuple.__new__(cls, bad)
+    for build in (lambda: cls(*bad), lambda: cls(**dict(zip(cls._fields, bad))),
+                  lambda: cls._make(bad), lambda: rec._replace(**changed),
+                  lambda: copy.copy(unchecked),
+                  lambda: pickle.loads(pickle.dumps(unchecked))):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+def test_a_classification_record_holds_its_pair():
+    pair = BlowupPair(4, 9)
     rec = classify(pair)
     assert rec.pair is pair and rec._asdict()["deformation"] is rec.deformation
 

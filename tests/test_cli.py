@@ -279,6 +279,25 @@ def test_oracle_column_over_the_cap_exits_2_before_measuring(d_range, s_range):
     assert b"cap" in proc.stderr
 
 
+def test_every_oracle_column_is_checked_before_any_is_measured(
+        capsys, monkeypatch):
+    # d = 47 is over the elimination cap; d = 2..46 took 10 s to measure
+    # before the table failed on it
+    from cangeo import fatpoints
+
+    def measured(*args):
+        raise AssertionError("measured a column")
+
+    monkeypatch.setattr(fatpoints, "_alpha_trial", measured)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "--d", "2..47", "--s", "1..1", "--oracle",
+                  "--trials", "1"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "cap" in out.err
+
+
 def test_failure_partway_through_a_table_exits_2_with_empty_stdout(
         capsys, monkeypatch):
     real, calls = cli.classification_record, []
@@ -760,6 +779,27 @@ for name in cangeo.__all__:
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_the_public_names_are_frozen():
+    import cangeo
+
+    assert set(cangeo.__all__) == {
+        "BlowupPair", "ClassificationRecord", "DEFAULT_PRIME", "DEFAULT_SEED",
+        "DEFAULT_TRIALS", "DeformationClass", "DivisorClass", "Enumeration",
+        "FatPointSystem", "GeographyLine", "MAX_ELIMINATION_WORK",
+        "MAX_MATRIX_ENTRIES", "MAX_PRIME", "MAX_TRIALS", "ModuliDims",
+        "OracleLimitError", "PointConfiguration", "ScrollSpec",
+        "ScrollWitness", "SurfaceInvariants", "TriState", "TwoComponentPoint",
+        "UnwitnessedCandidate", "alpha_rank", "alpha_surjective",
+        "chi_tangent_blowup", "classify", "cover_invariants",
+        "deformation_class", "ext1_nonzero", "find_witness",
+        "geography_lines", "h0_fatpoints", "h0_normal_of_cover", "line_for_m",
+        "moduli_dim_degree2", "moduli_dims_degree1", "monomial_basis",
+        "on_line", "s_for_degree", "scroll_admissible", "scroll_class_total",
+        "scroll_line_hits", "scroll_surface_invariants",
+        "smooth_cover_exists", "two_component_points", "vanishing_matrix",
+        "very_ample", "zone_rule"}
 
 
 # No command loads numpy.random (the oracle's draw is computed without it)

@@ -349,6 +349,27 @@ def test_moduli_that_overflow_int64_are_rejected():
         h0_fatpoints(FatPointSystem(4, 2, 5), p=big)
 
 
+# Z/0Z and Z/1Z are not fields: these read rank 0, 0 and h0 = 6 (not 5)
+@pytest.mark.parametrize("call", [
+    lambda: rank_mod_p(np.array([[1, 2], [3, 4]]), 0),
+    lambda: rank_mod_p(np.array([[1, 2], [3, 4]]), 1),
+    lambda: h0_fatpoints(FatPointSystem(2, 1, 1), trials=1, p=1),
+], ids=["rank-p0", "rank-p1", "h0-p1"])
+def test_moduli_below_2_are_rejected(call):
+    with pytest.raises(ValueError, match="positive"):
+        call()
+
+
+def test_points_that_coincide_mod_p_are_rejected():
+    # (0, 0) and (5, 0) are one point over Z/5Z: its rows would repeat and
+    # three conditions on conics read rank 2, overstating h0
+    cfg = PointConfiguration(((0, 0), (5, 0), (1, 2)))
+    conics = FatPointSystem(2, 1, 3)
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        vanishing_matrix(cfg, conics, 5)
+    assert rank_mod_p(vanishing_matrix(cfg, conics, 7), 7) == 3
+
+
 def test_matrix_size_cap():
     # 55000 x 20301 and a 60297-row product matrix: rejected before any draw
     with pytest.raises(ValueError, match="cap"):
