@@ -8,15 +8,18 @@ stderr.  Identical invocations produce byte-identical stdout.
 
 Exit codes: 0 success, 1 stdout closed by the reader, 2 bad input (an
 oracle system over the matrix size or elimination work cap included;
-stdout is then empty, as every verdict and measurement is computed before
-the first byte), 3 oracle measurement disagreeing with a closed-form
+stdout is then empty, as every verdict and every check is made before the
+first byte), 3 oracle measurement disagreeing with a closed-form
 prediction (rerun with another seed; persistent mismatch means a bug on
 one side or the other).
 
 A command plans its rows (`Rows`) and writes nothing; `main` then streams
 them.  Closed-form rows are stepped along the runs of `classify.s_runs`
 and held column by column; a run's rows are zipped from its columns, and
-in json its line template is laid out once and filled in row by row.
+in json its line template is laid out once and filled in row by row.  An
+oracle table is planned and checked whole but measured one `d` at a time,
+as its rows are written: csv and json write each `d`'s rows and flush them
+before the next `d` is measured.
 
 Each command imports only the layers it runs: a closed-form row
 `invariants` (and `fractions`), `xi` and `geography` the atlas (and
@@ -30,7 +33,7 @@ import argparse
 import io
 import os
 import sys
-from functools import cache
+from functools import cache, partial
 from itertools import chain, islice, repeat
 from typing import NamedTuple
 
@@ -38,7 +41,7 @@ from .classify import (BlowupPair, DeformationClass, TriState,
                        alpha_surjective, classify, s_runs,
                        smooth_cover_exists, zone_rule, zones)
 from .defaults import (DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, MAX_PRIME,
-                       MAX_TRIALS)
+                       MAX_TRIALS, _is_prime)
 
 EXIT_OK = 0
 EXIT_CLOSED = 1
@@ -75,35 +78,6 @@ class RunConfig(NamedTuple):
     seed: int
     trials: int
     prime: int
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin with the prime bases up to 37.
-
-    Those bases are proven sufficient below about 3.3e24, far above the
-    largest modulus the oracle accepts (MAX_PRIME).
-    """
-    if n < 2:
-        return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for q in small:
-        if n % q == 0:
-            return n == q
-    d, twos = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    for a in small:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(twos - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _int_literal(text: str) -> int:
@@ -255,13 +229,15 @@ def _json_lines(run: _Run):
                zip(*[slots[key] for key in order if key in slots]))
 
 
-def _write_json_array(out, runs) -> None:
-    """Write _dumps of the list of the runs' rows, a chunk of rows at a
-    time."""
+def _write_json_array(out, rows: Rows) -> None:
+    """Write _dumps of the list of the rows, a chunk of rows at a time,
+    and flush `out` after each part of the rows."""
     sep = "[\n"
-    for chunk in _chunks(chain.from_iterable(map(_json_lines, runs))):
-        out.write(sep + ",\n".join(chunk))
-        sep = ",\n"
+    for part in rows.parts():
+        for chunk in _chunks(chain.from_iterable(map(_json_lines, part))):
+            out.write(sep + ",\n".join(chunk))
+            sep = ",\n"
+        out.flush()
     out.write("[]" if sep == "[\n" else "\n]")
 
 
@@ -283,16 +259,17 @@ def _cells(run: _Run, columns: list[str]):
     return zip(*cells)
 
 
-def emit(records, columns: list[str], fmt: str, single: bool = False) -> None:
-    """Write the rows of `records`, an iterable of `_Run`s, to stdout, a
-    chunk of rows at a time.
+def emit(rows: Rows, columns: list[str], fmt: str, single: bool = False) -> None:
+    """Write `rows` to stdout, a chunk of rows at a time.
 
-    `records` may be iterated twice (the table format measures its column
-    widths first); with `single`, only its first row is written.
+    csv and json flush stdout after each part of `rows`, before the next
+    part is called.  The table format reads every part twice, for its
+    column widths and then for its rows.  With `single`, only the first row
+    is written (in csv, every row).
     """
     out = sys.stdout
     if single and fmt != "csv":
-        record = next(iter(records)).first()
+        record = next(iter(rows)).first()
         if fmt == "json":
             out.write(_dumps(record) + "\n")
             return
@@ -302,28 +279,32 @@ def emit(records, columns: list[str], fmt: str, single: bool = False) -> None:
             out.write(f"{c:<{width}}  {_plain(flat.get(c))}\n".rstrip() + "\n")
         return
     if fmt == "json":
-        _write_json_array(out, records)
+        _write_json_array(out, rows)
         out.write("\n")
         return
     if fmt == "csv":
         import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
-        rows = chain.from_iterable(_cells(run, columns) for run in records)
-        for chunk in _chunks(chain([columns], rows)):
-            writer.writerows(chunk)
-            out.write(buf.getvalue())
-            buf.seek(0)
-            buf.truncate()
+        head = [columns]
+        for part in rows.parts():
+            cells = chain.from_iterable(_cells(run, columns) for run in part)
+            for chunk in _chunks(chain(head, cells)):
+                writer.writerows(chunk)
+                out.write(buf.getvalue())
+                buf.seek(0)
+                buf.truncate()
+            out.flush()
+            head = []
         return
     widths = [len(c) for c in columns]
-    for run in records:
+    for run in rows:
         for cells in _cells(run, columns):
             widths = [max(w, len(_plain(v))) for w, v in zip(widths, cells)]
     out.write("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()
               + "\n")
-    rows = chain.from_iterable(_cells(run, columns) for run in records)
-    for chunk in _chunks(rows):
+    for chunk in _chunks(chain.from_iterable(_cells(run, columns)
+                                             for run in rows)):
         out.write("".join(
             "  ".join(_plain(v).ljust(w) for v, w in zip(cells, widths)).rstrip()
             + "\n" for cells in chunk))
@@ -341,14 +322,17 @@ def _flag(expected, measured) -> str | None:
     return "MATCH" if measured == expected else "MISMATCH"
 
 
-def _alpha_measurements(d: int, s_values, config: RunConfig) -> list[dict]:
+def _alpha_measurements(d: int, s_values, config: RunConfig,
+                        floor=None) -> list[dict]:
     """Multiplication-map rank at (d, s) for each s, flagged against the
     zone verdict; the keys are the measurement fields of an `oracle alpha`
-    row.  One alpha_rank call measures the whole column."""
+    row.  One alpha_rank call measures the whole column; `floor` is what
+    its checks returned, if they have run."""
     from . import fatpoints
 
     triples = fatpoints.alpha_rank(d, s_values, trials=config.trials,
-                                   seed=config.seed, p=config.prime)
+                                   seed=config.seed, p=config.prime,
+                                   floor=floor)
     out = []
     for s, (rank, dim_source, dim_target) in zip(s_values, triples):
         surjective = rank == dim_target
@@ -465,24 +449,36 @@ def alpha_record(d: int, s: int, config: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 class Rows:
-    """A command's rows, planned before any is written, as `_Run`s.
+    """A command's rows as `_Run`s, planned before any is written.
 
-    Every verdict and measurement, and so every error and every MISMATCH
-    flag, is computed when the plan is made.  A run holds its columns, not
-    its rows: the rows are rendered from them on each pass, so that no
-    pass holds them all.  `len` counts rows.
+    Every verdict and every check, and so every error, is made when the
+    plan is made.  The rows come in `parts`, zero-argument callables that
+    each return an iterable of runs and are called in order on every pass.
+    A part may do work when it is called (an oracle table measures one
+    column there), and `emit` flushes each part's rows before it calls the
+    next, so that work reaches the reader part by part.  A part called
+    again returns the same runs without redoing its work.  `mismatch`
+    (a MISMATCH flag in some row) is final once the last part has been
+    called.
+
+    A run holds its columns, not its rows: the rows are rendered from them
+    on each pass, so that no pass holds them all.  `len` counts rows.
     """
 
-    def __init__(self, count: int, build, mismatch: bool = False):
+    def __init__(self, count: int, *parts, mismatch: bool = False):
         self._count = count
-        self._build = build
+        self._parts = parts
         self.mismatch = mismatch
 
     def __len__(self) -> int:
         return self._count
 
+    def parts(self):
+        """Each part's runs, in order; a part is called when it is reached."""
+        return (part() for part in self._parts)
+
     def __iter__(self):
-        return iter(self._build())
+        return chain.from_iterable(self.parts())
 
     @classmethod
     def of(cls, rows: list[dict]) -> Rows:
@@ -490,7 +486,7 @@ class Rows:
         column is noted."""
         runs = [_Run(1, row) for row in rows]
         return cls(len(rows), lambda: runs,
-                   any(row.get("flag") == "MISMATCH" for row in rows))
+                   mismatch=any(row.get("flag") == "MISMATCH" for row in rows))
 
 
 def _stepped_run(record_at, run: range, derived: dict) -> _Run:
@@ -537,8 +533,9 @@ def _classification_rows(d_values, s_values: range, config: RunConfig,
                          with_oracle: bool) -> tuple[Rows, list[str]]:
     """Rows by (d, s), stepped along the runs of each d.  With the oracle,
     every d's runs are planned, which validates the pairs, and every column
-    passes alpha_rank's checks before any is measured; each run then takes
-    its slice of its column's measurements."""
+    passes alpha_rank's checks; then each d is a part of the rows, which
+    measures its column when first called, and each run takes its slice of
+    the measurements."""
     from fractions import Fraction
 
     # the slope c1sq/c2 of a row, derived cell by cell along a run
@@ -550,25 +547,29 @@ def _classification_rows(d_values, s_values: range, config: RunConfig,
             return classification_record(BlowupPair(d, s))
         planned.append([_stepped_run(record_at, run, derived)
                         for run in s_runs(d, s_values)])
-    mismatch = False
-    if with_oracle:
-        from .fatpoints import _alpha_floors
-        for d in d_values:
-            _alpha_floors(d, s_values, config.trials)
-        for d, d_runs in zip(d_values, planned):
-            alphas = _alpha_measurements(d, s_values, config)
-            measured = {f"alpha_{key}": [alpha[key] for alpha in alphas]
-                        for key in ("rank", "dim_source", "dim_target", "coker")}
-            measured["oracle_flag"] = flags = [alpha["flag"] for alpha in alphas]
-            mismatch = mismatch or "MISMATCH" in flags
-            start = 0
-            for run in d_runs:
-                run.vary.update((key, col[start:start + run.n])
-                                for key, col in measured.items())
-                start += run.n
-    rows = Rows(len(d_values) * len(s_values),
-                lambda: chain.from_iterable(planned), mismatch)
-    return rows, CLASSIFY_ORACLE_COLUMNS if with_oracle else CLASSIFY_COLUMNS
+    count = len(d_values) * len(s_values)
+    if not with_oracle:
+        return Rows(count, lambda: chain.from_iterable(planned)), CLASSIFY_COLUMNS
+    from .fatpoints import _alpha_floors
+    floors = [_alpha_floors(d, s_values, config.trials) for d in d_values]
+
+    def measured(d, d_runs, floor):
+        alphas = _alpha_measurements(d, s_values, config, floor)
+        columns = {f"alpha_{key}": [alpha[key] for alpha in alphas]
+                   for key in ("rank", "dim_source", "dim_target", "coker")}
+        columns["oracle_flag"] = flags = [alpha["flag"] for alpha in alphas]
+        rows.mismatch = rows.mismatch or "MISMATCH" in flags
+        start = 0
+        for run in d_runs:
+            run.vary.update((key, col[start:start + run.n])
+                            for key, col in columns.items())
+            start += run.n
+        return d_runs
+
+    # each column measured once, however many passes read it
+    rows = Rows(count, *(cache(partial(measured, *column))
+                         for column in zip(d_values, planned, floors)))
+    return rows, CLASSIFY_ORACLE_COLUMNS
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +754,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # nothing has been written yet, so stdout stays empty on exit 2
         parser.error(str(exc))
+    # an oracle table measures its columns here, one at a time, as emit
+    # writes them
     try:
         emit(rows, columns, args.output_format,
              single=args.command in ("classify", "oracle"))

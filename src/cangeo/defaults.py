@@ -1,8 +1,11 @@
-"""The oracle's run defaults and its bounds on trials and the modulus.
+"""The oracle's run defaults, its bounds on trials and the modulus, and
+the primality test of the modulus.
 
 Kept apart from `fatpoints` so that the command line can state its
 defaults and check `--trials` and `--prime` without loading numpy.
 """
+
+from functools import lru_cache
 
 DEFAULT_PRIME = 2147483647  # 2**31 - 1
 DEFAULT_SEED = 0xC0FFEE
@@ -21,3 +24,34 @@ MAX_TRIALS = 100
 # follows.  MAX_PRIME is that bound, not a prime (13 * 233615423); the
 # largest prime accepted is 3037000493.
 MAX_PRIME = 3037000499
+
+
+@lru_cache(maxsize=64)   # a run uses one modulus, a test suite a few
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with the prime bases up to 37.
+
+    Those bases are proven sufficient below about 3.3e24, far above the
+    largest modulus the oracle accepts (MAX_PRIME).  Memoised: the oracle
+    checks its modulus on every elimination.
+    """
+    if n < 2:
+        return False
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for q in small:
+        if n % q == 0:
+            return n == q
+    d, twos = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        twos += 1
+    for a in small:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

@@ -737,6 +737,139 @@ def test_one_long_run_of_s_streams_in_flat_memory(fmt):
     assert peak_kib("1..162000") < peak_kib("1..100") + 5 * 1024
 
 
+# --- oracle tables, column by column --------------------------------------
+
+ORACLE_SWEEP = ["table", "--d", "2..4", "--s", "1..12", "--oracle"]
+
+# Runs the command line with alpha_rank wrapped: each call first notes on
+# stderr its d and the bytes the stdout file holds, which are the bytes
+# flushed so far.
+_MEASURED_AT = """
+import os, sys
+from cangeo import cli, fatpoints
+measure = fatpoints.alpha_rank
+def alpha_rank(d, *args, **kwargs):
+    sys.stderr.write(f"{d} {os.fstat(1).st_size}\\n")
+    return measure(d, *args, **kwargs)
+fatpoints.alpha_rank = alpha_rank
+cli.run()
+"""
+
+
+def _head(out: bytes, fmt: str, last_d: int) -> bytes:
+    """What a stream of `out` holds once the columns up to last_d are
+    written: nothing before the first, then the csv header or the json
+    array's opening, and the rows, without the separator that the next
+    row brings."""
+    if fmt == "csv":
+        header, *lines = out.splitlines(keepends=True)
+        rows = [line for line in lines if int(line.split(b",")[0]) <= last_d]
+        return b"".join([header, *rows]) if rows else b""
+    rows = [row for row in json.loads(out) if row["d"] <= last_d]
+    return json.dumps(rows, indent=2, sort_keys=True)[:-2].encode() if rows else b""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_each_oracle_column_is_flushed_before_the_next_is_measured(
+        tmp_path, fmt, unbuffered):
+    env = _child_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    path = tmp_path / "stdout"
+    with open(path, "wb") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-c", _MEASURED_AT, *ORACLE_SWEEP, "--format", fmt],
+            stdout=stdout, stderr=subprocess.PIPE, env=env)
+    assert proc.returncode == 0
+    out = path.read_bytes()
+    assert out == run_cli(*ORACLE_SWEEP, "--format", fmt).stdout
+    # the first column's rows fit in one buffer: only a flush puts them in
+    # the file before the second column is measured
+    assert 0 < len(_head(out, fmt, 2)) < io.DEFAULT_BUFFER_SIZE
+    seen = [tuple(map(int, line.split()))
+            for line in proc.stderr.decode().splitlines()]
+    assert [d for d, _ in seen] == [2, 3, 4]
+    for d, size in seen:
+        head = _head(out, fmt, d - 1)
+        assert size == len(head) and out.startswith(head), (d, size)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+def test_each_oracle_column_is_checked_once_and_measured_once(
+        capsys, monkeypatch, fmt):
+    # the table format reads every column twice, for its widths and then
+    # for its rows
+    from cangeo import fatpoints
+
+    check, measure = fatpoints._alpha_floors, fatpoints.alpha_rank
+    checked, measured = [], []
+
+    def floors(d, *args):
+        checked.append(d)
+        return check(d, *args)
+
+    def alpha_rank(d, *args, **kwargs):
+        measured.append(d)
+        return measure(d, *args, **kwargs)
+
+    monkeypatch.setattr(fatpoints, "_alpha_floors", floors)
+    monkeypatch.setattr(fatpoints, "alpha_rank", alpha_rank)
+    code, out, _ = run_main(capsys, *ORACLE_SWEEP, "--format", fmt)
+    assert code == 0
+    assert checked == measured == [2, 3, 4]
+    assert out == run_cli(*ORACLE_SWEEP, "--format", fmt).stdout.decode()
+
+
+class _ClosedStdout(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd: int):
+        self._fd = fd
+
+    def fileno(self) -> int:
+        return self._fd
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_closed_stdout_ends_an_oracle_sweep_after_one_column(
+        monkeypatch, tmp_path, fmt):
+    from cangeo import fatpoints
+
+    measure, measured = fatpoints.alpha_rank, []
+
+    def alpha_rank(d, *args, **kwargs):
+        measured.append(d)
+        return measure(d, *args, **kwargs)
+
+    monkeypatch.setattr(fatpoints, "alpha_rank", alpha_rank)
+    with open(tmp_path / "stdout", "w") as sink:
+        # main points the descriptor at devnull: give it one of its own
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout(sink.fileno()))
+        code = cli.main(["table", "--d", "2..8", "--s", "1..40", "--oracle",
+                         "--format", fmt])
+        monkeypatch.undo()
+    assert code == 1
+    assert measured == [2]
+
+
+def test_a_mismatch_in_the_last_column_exits_3(capsys, monkeypatch):
+    # (3, 5) measures not surjective; only d = 3's formula is made to
+    # claim yes, so the MISMATCH is known once the last column is measured
+    real = cli.alpha_surjective
+    monkeypatch.setattr(cli, "alpha_surjective", lambda pair: (
+        cli.TriState.YES if pair.d == 3 else real(pair)))
+    code, out, _ = run_main(capsys, "table", "--d", "2..3", "--s", "5..5",
+                            "--oracle", "--format", "csv")
+    assert code == 3
+    assert [row["oracle_flag"] for row in csv.DictReader(io.StringIO(out))] == [
+        "MATCH", "MISMATCH"]
+
+
 # --- numpy only for the oracle --------------------------------------------
 
 def test_closed_forms_never_import_numpy():

@@ -360,6 +360,34 @@ def test_moduli_below_2_are_rejected(call):
         call()
 
 
+# Z/4Z is not a field: the first read rank 1 for a matrix of rank 2 over Q,
+# the others failed in pow with "base is not invertible"
+@pytest.mark.parametrize("call", [
+    lambda: rank_mod_p(np.array([[3, 1], [1, 3]]), 4),
+    lambda: rank_mod_p(np.array([[2]]), 4),
+    lambda: h0_fatpoints(FatPointSystem(3, 2, 2), trials=1, seed=1, p=4),
+    lambda: kernel_basis_mod_p(np.array([[1, 2]]), 2 ** 31 + 1),
+    lambda: vanishing_matrix(PointConfiguration(((1, 2),)),
+                             FatPointSystem(2, 1, 1), MAX_PRIME),
+], ids=["rank-p4", "rank-unit-p4", "h0-p4", "kernel-2^31+1", "build-max"])
+def test_composite_moduli_are_rejected(call):
+    with pytest.raises(ValueError, match="not a prime") as exc:
+        call()
+    assert not isinstance(exc.value, OracleLimitError)
+
+
+def test_the_modulus_checks_run_in_order_and_the_primality_test_is_memoised():
+    # a prime above MAX_PRIME is over the cap, not composite; a draw takes
+    # residues of any modulus in range
+    with pytest.raises(OracleLimitError, match="overflow"):
+        rank_mod_p(np.array([[1]]), 4294967311)
+    assert len(PointConfiguration.random(3, 1, MAX_PRIME).points) == 3
+    fatpoints._is_prime.cache_clear()
+    for _ in range(3):
+        assert rank_mod_p(np.array([[3, 1], [1, 3]]), 5) == 2
+    assert fatpoints._is_prime.cache_info().misses == 1
+
+
 def test_points_that_coincide_mod_p_are_rejected():
     # (0, 0) and (5, 0) are one point over Z/5Z: its rows would repeat and
     # three conditions on conics read rank 2, overstating h0
