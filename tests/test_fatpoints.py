@@ -40,6 +40,7 @@ from cangeo.fatpoints import (
 )
 
 P = DEFAULT_PRIME
+LARGEST_PRIME = 3037000493   # the largest prime <= MAX_PRIME
 
 
 # ---------------------------------------------------------------------------
@@ -376,16 +377,18 @@ def test_composite_moduli_are_rejected(call):
     assert not isinstance(exc.value, OracleLimitError)
 
 
-def test_the_modulus_checks_run_in_order_and_the_primality_test_is_memoised():
-    # a prime above MAX_PRIME is over the cap, not composite; a draw takes
-    # residues of any modulus in range
+def test_the_modulus_checks_run_in_order(monkeypatch):
+    # a prime above MAX_PRIME is over the cap, not composite; a draw
+    # rejects a composite modulus before it draws
     with pytest.raises(OracleLimitError, match="overflow"):
         rank_mod_p(np.array([[1]]), 4294967311)
-    assert len(PointConfiguration.random(3, 1, MAX_PRIME).points) == 3
-    fatpoints._is_prime.cache_clear()
-    for _ in range(3):
-        assert rank_mod_p(np.array([[3, 1], [1, 3]]), 5) == 2
-    assert fatpoints._is_prime.cache_info().misses == 1
+
+    def no_draw(seed, trial):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(fatpoints, "_seed_sequence", no_draw)
+    with pytest.raises(ValueError, match="not a prime"):
+        PointConfiguration.random(3, 1, MAX_PRIME)
 
 
 def test_points_that_coincide_mod_p_are_rejected():
@@ -534,7 +537,7 @@ def _scalar_points(count, seed, p, trial):
 def test_batched_draw_reproduces_the_scalar_stream():
     # tiny moduli force collisions; count p*p draws every point of F_p^2
     cases = 0
-    for p in (5, 7, 11, 1000003, 2 ** 31 - 1, MAX_PRIME):
+    for p in (5, 7, 11, 1000003, 2 ** 31 - 1, LARGEST_PRIME):
         counts = [c for c in (1, 2, 3, 8, 20, 25, 40, 49, 121) if c <= p * p]
         for seed in (0, 1, 99, 0xC0FFEE, 2 ** 64 + 5):
             for trial in range(3):
@@ -549,7 +552,7 @@ def test_batched_draw_reproduces_the_scalar_stream():
 def test_draw_reproduces_numpy_on_long_seeds_and_spawn_keys():
     # seeds of five 32-bit words, spawn keys of two, and the extreme moduli
     cases = 0
-    for p in (2, 3, MAX_PRIME):
+    for p in (2, 3, LARGEST_PRIME):
         for seed in (2 ** 128 + 7, 2 ** 160 - 1):
             for trial in (0, 2 ** 32 + 1):
                 for count in {1, min(p * p, 4), min(p * p, 40)}:
@@ -560,8 +563,8 @@ def test_draw_reproduces_numpy_on_long_seeds_and_spawn_keys():
     assert cases == 32
     # numpy integers draw the stream of the Python ints they hold
     assert PointConfiguration.random(
-        40, np.uint64(2 ** 64 - 1), np.int64(MAX_PRIME), trial=np.int64(3)
-    ) == PointConfiguration.random(40, 2 ** 64 - 1, MAX_PRIME, trial=3)
+        40, np.uint64(2 ** 64 - 1), np.int64(LARGEST_PRIME), trial=np.int64(3)
+    ) == PointConfiguration.random(40, 2 ** 64 - 1, LARGEST_PRIME, trial=3)
 
 
 def test_draw_rejects_its_inputs_before_drawing(monkeypatch):
