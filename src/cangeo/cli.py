@@ -45,7 +45,6 @@ from .defaults import (DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, MAX_PRIME,
 
 EXIT_OK = 0
 EXIT_CLOSED = 1
-EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 
 MIN_PRIME = 10 ** 6

@@ -13,6 +13,7 @@ unlikely (see the failure bound discussed in the README).
 from __future__ import annotations
 
 import operator
+from random import Random
 from typing import NamedTuple
 
 import numpy as np
@@ -82,16 +83,15 @@ _BLOCK_LEAF_ROWS = 32
 _PANEL_COLS = 256
 
 
-def _echelon(matrix: np.ndarray, p: int, form: str):
-    """Row echelon form over Z/pZ; returns (A, pivot columns in order).
+def _echelon(matrix: np.ndarray, p: int, rank_only: bool = False):
+    """Reduced row echelon form over Z/pZ; returns (A, pivot columns in
+    order).
 
-    `form` is what the caller reads of A.  "reduced": the reduced row
-    echelon form, the pivot rows ordered by pivot column, then zero rows.
-    "echelon": some row echelon form, the pivot rows in the same order,
-    each zero left of its pivot.  "rank": nothing, only the pivot columns.
+    A holds the pivot rows ordered by pivot column, then zero rows.  With
+    `rank_only` the caller reads nothing of A, only the pivot columns.
     The pivot loop (below _BLOCK_MIN_ROWS rows) and the block path return
-    the same pivot columns, and the same A for "reduced", since that form
-    is unique.
+    the same pivot columns, and the same A, since the reduced form is
+    unique.
     """
     _check_modulus(p)
     A = np.asarray(matrix, dtype=np.int64)
@@ -99,9 +99,9 @@ def _echelon(matrix: np.ndarray, p: int, form: str):
     _check_work(rows, cols)
     A = A % p
     if rows < _BLOCK_MIN_ROWS:
-        return A, _pivot_loop(A, p, reduced=form == "reduced")
+        return A, _pivot_loop(A, p, reduced=not rank_only)
     A = np.ascontiguousarray(A)     # a transpose arrives column-major
-    if form == "rank":
+    if rank_only:
         return A, sorted(_reduce_rows(A, p, rank_only=True))
     return A, _block_rref(A, p)
 
@@ -258,12 +258,12 @@ def _block_rref(A: np.ndarray, p: int) -> list[int]:
 
 def rank_mod_p(matrix: np.ndarray, p: int = DEFAULT_PRIME) -> int:
     """Rank of an integer matrix over Z/pZ by Gaussian elimination."""
-    return len(_echelon(matrix, p, "rank")[1])
+    return len(_echelon(matrix, p, rank_only=True)[1])
 
 
 def rref_mod_p(matrix: np.ndarray, p: int = DEFAULT_PRIME):
     """Reduced row echelon form over Z/pZ; returns (R, pivot columns)."""
-    return _echelon(matrix, p, "reduced")
+    return _echelon(matrix, p)
 
 
 def kernel_basis_mod_p(matrix: np.ndarray, p: int = DEFAULT_PRIME) -> np.ndarray:
@@ -323,85 +323,6 @@ class FatPointSystem(NamedTuple):
         return max(0, self.ambient_dim - self.conditions)
 
 
-_MASK32 = 2 ** 32 - 1
-_MASK64 = 2 ** 64 - 1
-_MASK128 = 2 ** 128 - 1
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _words32(n: int) -> list[int]:
-    """n as little-endian 32-bit words, at least one."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _seed_sequence(seed: int, trial: int) -> tuple[int, int]:
-    """The (initstate, initseq) pair with which numpy's
-    PCG64(SeedSequence(entropy=seed, spawn_key=(trial,))) seeds itself:
-    w0 * 2**64 + w1 and w2 * 2**64 + w3 for the words w0..w3 of the
-    sequence's generate_state(4, uint64)."""
-    words = _words32(seed)
-    # a spawn key follows entropy padded with zeros to the pool's 4 words
-    words += [0] * (4 - len(words)) + _words32(trial)
-    const = 0x43B0D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * 0x931E8875 & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(word) for word in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    const = 0x8B51F9DD
-    halves = []
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * 0x58F38DED & _MASK32
-        value = value * const & _MASK32
-        halves.append(value ^ value >> 16)
-    # 32-bit words 2k and 2k + 1 are the low and high halves of word k
-    w0, w1, w2, w3 = (halves[i] | halves[i + 1] << 32 for i in (0, 2, 4, 6))
-    return w0 << 64 | w1, w2 << 64 | w3
-
-
-def _draws_below(p: int, initstate: int, initseq: int):
-    """numpy's Generator(PCG64).integers(0, p) for 1 <= p < 2**32, one
-    value at a time.
-
-    The 128-bit LCG is seeded as pcg64_srandom_r seeds it; each step's
-    XSL-RR output gives two 32-bit draws, its low half first.  A draw u
-    maps to u * p >> 32 unless the low 32 bits of u * p fall below
-    2**32 mod p, where it is rejected (Lemire's method).
-    """
-    inc = (initseq << 1 | 1) & _MASK128
-    # from state 0: one step (to inc), add initstate, one more step
-    state = ((inc + initstate) * _PCG64_MULTIPLIER + inc) & _MASK128
-    threshold = 2 ** 32 % p
-    while True:
-        state = (state * _PCG64_MULTIPLIER + inc) & _MASK128
-        word = (state >> 64 ^ state) & _MASK64
-        rot = state >> 122
-        word = (word >> rot | word << (64 - rot)) & _MASK64
-        for u in (word & _MASK32, word >> 32):
-            u *= p
-            if u & _MASK32 >= threshold:
-                yield u >> 32
-
-
 @_checked
 class PointConfiguration(NamedTuple):
     """Distinct affine points over Z/pZ, regenerable from a seed."""
@@ -417,24 +338,24 @@ class PointConfiguration(NamedTuple):
                trial: int = 0) -> "PointConfiguration":
         """Uniform distinct points in the affine chart z = 1.
 
-        Each (seed, trial) pair gets its own child stream, so trials are
-        independent and the whole draw is reproducible bit for bit: the
-        stream of numpy's SeedSequence(entropy=seed, spawn_key=(trial,)),
-        PCG64 and Generator.integers(0, p), computed here without numpy.
-        Points are drawn as (x, y) pairs and a repeated point is drawn
-        again, so random(s + 1) extends random(s).
+        Each (seed, trial) pair seeds its own random.Random with the text
+        "seed:trial", so trials are independent and the whole draw is
+        reproducible bit for bit.  Each point is (randrange(p),
+        randrange(p)), x first, and a repeated point is drawn again, so
+        random(s + 1) extends random(s).
         """
-        # Python ints: a numpy integer p would overflow in the draw's u * p
+        # Python ints: equal integers of any type seed the same text, and
+        # a float is refused
         seed, trial, p = map(operator.index, (seed, trial, p))
         if seed < 0 or trial < 0:
             raise ValueError("seed and trial must be nonnegative")
         _check_modulus(p)
         if count > p * p:
             raise ValueError(f"Z/{p}Z has {p * p} points, not {count}")
-        draws = _draws_below(p, *_seed_sequence(seed, trial))
+        rng = Random(f"{seed}:{trial}")
         pts: dict[tuple[int, int], None] = {}   # ordered set
         while len(pts) < count:
-            pts[next(draws), next(draws)] = None
+            pts[rng.randrange(p), rng.randrange(p)] = None
         return cls(points=tuple(pts))
 
 
@@ -517,7 +438,7 @@ def _prefix_ranks(matrix: np.ndarray, counts, p: int) -> np.ndarray:
     in the span of the rows above them, so the rank of the first s rows
     is the number of pivots below s.
     """
-    pivots = _echelon(matrix.T, p, "rank")[1]
+    pivots = _echelon(matrix.T, p, rank_only=True)[1]
     return np.searchsorted(pivots, counts)
 
 
@@ -551,12 +472,12 @@ def _kernel_flag(mat_low: np.ndarray, s0: int, p: int):
 
     The kernel at s0 comes from kernel_basis_mod_p.  The later rows are
     then taken a block at a time, as many as the kernel has vectors (a
-    block that empties it when the points are general).  One echelon of
-    [values at the block's rows | kernel] gives a basis whose pivot rows
-    each vanish on the block before their pivot and not at it, and whose
-    other rows vanish on the whole block: each row of mat_low removes at
-    most one vector, and the ones kept span the kernel of the longer
-    prefix.  The flag is the final kernel, then the removed vectors from
+    block that empties it when the points are general).  The reduced
+    echelon form of [values at the block's rows | kernel] is a basis whose
+    pivot rows each vanish on the block before their pivot and not at it,
+    and whose other rows vanish on the whole block: each row of mat_low
+    removes at most one vector, and the ones kept span the kernel of the
+    longer prefix.  The flag is the final kernel, then the removed vectors from
     last to first.  (_submul_mod_p negates the values; no pivot moves.)
     """
     kernel = kernel_basis_mod_p(mat_low[:s0], p)
@@ -569,7 +490,7 @@ def _kernel_flag(mat_low: np.ndarray, s0: int, p: int):
         rows = np.zeros((k, m + n), dtype=np.int64)
         rows[:, m:] = kernel
         _submul_mod_p(rows[:, :m], kernel, block.T, p)
-        A, pivots = _echelon(rows, p, "echelon")
+        A, pivots = _echelon(rows, p)
         cut = int(np.searchsorted(pivots, m))
         removed.append(A[:cut, m:][::-1])
         left.extend(s + 1 + c for c in pivots[:cut])

@@ -936,7 +936,7 @@ def test_the_public_names_are_frozen():
         "very_ample", "zone_rule"}
 
 
-# No command loads numpy.random (the oracle's draw is computed without it)
+# No command loads numpy.random (the oracle draws with the standard library)
 # or dataclasses (and its import of inspect), beyond what numpy loads itself:
 # numpy 1.x's own `import numpy` loads numpy.random, numpy 2 does not.
 NEVER_LOADED = {"numpy.random", "dataclasses"}

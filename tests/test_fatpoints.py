@@ -383,10 +383,10 @@ def test_the_modulus_checks_run_in_order(monkeypatch):
     with pytest.raises(OracleLimitError, match="overflow"):
         rank_mod_p(np.array([[1]]), 4294967311)
 
-    def no_draw(seed, trial):
+    def no_draw(*args):
         raise AssertionError("drew")
 
-    monkeypatch.setattr(fatpoints, "_seed_sequence", no_draw)
+    monkeypatch.setattr(fatpoints, "Random", no_draw)
     with pytest.raises(ValueError, match="not a prime"):
         PointConfiguration.random(3, 1, MAX_PRIME)
 
@@ -518,62 +518,37 @@ def test_h0_stops_at_the_floor_and_equals_every_trials_minimum(
                 assert ran == 1
 
 
-def _scalar_points(count, seed, p, trial):
-    """The per-coordinate draw the batched one must reproduce: one
-    integers() call for x, one for y, a repeated point drawn again."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
-    gen = np.random.Generator(np.random.PCG64(ss))
-    pts, seen = [], set()
-    while len(pts) < count:
-        x = int(gen.integers(0, p))
-        y = int(gen.integers(0, p))
-        if (x, y) in seen:
-            continue
-        seen.add((x, y))
-        pts.append((x, y))
-    return tuple(pts)
-
-
-def test_batched_draw_reproduces_the_scalar_stream():
-    # tiny moduli force collisions; count p*p draws every point of F_p^2
-    cases = 0
-    for p in (5, 7, 11, 1000003, 2 ** 31 - 1, LARGEST_PRIME):
-        counts = [c for c in (1, 2, 3, 8, 20, 25, 40, 49, 121) if c <= p * p]
-        for seed in (0, 1, 99, 0xC0FFEE, 2 ** 64 + 5):
-            for trial in range(3):
-                for count in counts:
-                    got = PointConfiguration.random(count, seed, p, trial=trial)
-                    assert got.points == _scalar_points(count, seed, p, trial), (
-                        p, seed, trial, count)
-                    cases += 1
-    assert cases == 750
-
-
-def test_draw_reproduces_numpy_on_long_seeds_and_spawn_keys():
-    # seeds of five 32-bit words, spawn keys of two, and the extreme moduli
-    cases = 0
-    for p in (2, 3, LARGEST_PRIME):
-        for seed in (2 ** 128 + 7, 2 ** 160 - 1):
-            for trial in (0, 2 ** 32 + 1):
-                for count in {1, min(p * p, 4), min(p * p, 40)}:
-                    got = PointConfiguration.random(count, seed, p, trial=trial)
-                    assert got.points == _scalar_points(count, seed, p, trial), (
-                        p, seed, trial, count)
-                    cases += 1
-    assert cases == 32
-    # numpy integers draw the stream of the Python ints they hold
+def test_a_draw_is_every_smaller_draw_extended():
+    # tiny moduli force repeats; count p*p draws every point of F_p^2, and
+    # each smaller count draws its prefix, so random(c + 1) extends random(c)
+    plane = {p: sorted((x, y) for x in range(p) for y in range(p))
+             for p in (2, 3, 5, 7, 11)}
+    for p, points in plane.items():
+        for seed in (0, 1, 99, 0xC0FFEE, 2 ** 64 + 5, 2 ** 160 - 1):
+            for trial in (0, 1, 2 ** 32 + 1):
+                full = PointConfiguration.random(p * p, seed, p, trial=trial)
+                assert sorted(full.points) == points, (p, seed, trial)
+                for count in range(p * p):
+                    assert PointConfiguration.random(
+                        count, seed, p, trial=trial
+                    ).points == full.points[:count], (p, seed, trial, count)
+    # numpy integers draw the points of the Python ints they hold
     assert PointConfiguration.random(
         40, np.uint64(2 ** 64 - 1), np.int64(LARGEST_PRIME), trial=np.int64(3)
     ) == PointConfiguration.random(40, 2 ** 64 - 1, LARGEST_PRIME, trial=3)
+    # the standard library's stream, pinned: a change to it fails here
+    assert PointConfiguration.random(3, 0xC0FFEE, 2 ** 31 - 1).points == (
+        (1111372957, 1151836832), (1745117303, 1763035823),
+        (579508931, 1981614911))
 
 
 def test_draw_rejects_its_inputs_before_drawing(monkeypatch):
-    # numpy draws 64 bits at a time from p = 2**32 on, and a negative int
-    # has no 32-bit words: the draw here would never end on either
-    def no_draw(seed, trial):
+    # a p above MAX_PRIME is refused because int64 products of residues
+    # would overflow, and a negative seed or trial by the input contract
+    def no_draw(*args):
         raise AssertionError("drew")
 
-    monkeypatch.setattr(fatpoints, "_seed_sequence", no_draw)
+    monkeypatch.setattr(fatpoints, "Random", no_draw)
     with pytest.raises(OracleLimitError, match="overflow"):
         PointConfiguration.random(2, 0xC0FFEE, 4294967311)
     with pytest.raises(OracleLimitError, match="overflow"):
@@ -793,14 +768,14 @@ def test_a_kernel_flag_above_the_block_gate_is_in_echelon_form(monkeypatch):
     echelons = []
     real = fatpoints._echelon
 
-    def recorded(matrix, p, form):
-        echelons.append((matrix.shape[0], form))
-        return real(matrix, p, form)
+    def recorded(matrix, p, rank_only=False):
+        echelons.append((matrix.shape[0], rank_only))
+        return real(matrix, p, rank_only)
 
     monkeypatch.setattr(fatpoints, "_echelon", recorded)
     column = _alpha_trial(16, cfg, s_values, P)
     monkeypatch.undo()
-    assert (135, "echelon") in echelons
+    assert (135, False) in echelons
     assert 135 >= fatpoints._BLOCK_MIN_ROWS
     assert column == [_alpha_reference(16, cfg, s, P) for s in s_values]
 
