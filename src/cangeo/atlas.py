@@ -22,6 +22,19 @@ from .invariants import cover_invariants
 from .scrolls import DivisorClass, ScrollSpec, on_line, scroll_admissible, scroll_surface_invariants
 
 
+def _s_ratio(m: int, d: int) -> tuple[int, int]:
+    """s_for_degree(m, d) as an unreduced (numerator, denominator > 0)."""
+    return ((m - 5) * d * d + 9 * (m - 3) * d - (m - 3) ** 2 * (m + 4),
+            2 * (2 * m - 7))
+
+
+def _total_ratio(m: int, x_prime: int) -> tuple[int, int]:
+    """scroll_class_total(m, x_prime) as an unreduced (numerator,
+    denominator > 0)."""
+    den = (m - 1) * (m - 2)
+    return 6 * x_prime + 3 * (m + 1) * den, den
+
+
 def s_for_degree(m: int, d: int) -> Fraction:
     """Point count s making the (d, s) cover land on the line for m.
 
@@ -32,15 +45,14 @@ def s_for_degree(m: int, d: int) -> Fraction:
         raise ValueError("m must be at least 4")
     if d < 1:
         raise ValueError("d must be positive")
-    return Fraction((m - 5) * d * d + 9 * (m - 3) * d - (m - 3) ** 2 * (m + 4),
-                    2 * (2 * m - 7))
+    return Fraction(*_s_ratio(m, d))
 
 
 def scroll_class_total(m: int, x_prime: int) -> Fraction:
     """The quantity r*m + 3*l forced by p_g = x_prime on the line for m."""
     if m < 4:
         raise ValueError("m must be at least 4")
-    return Fraction(6 * x_prime, (m - 1) * (m - 2)) + 3 * (m + 1)
+    return Fraction(*_total_ratio(m, x_prime))
 
 
 class ScrollWitness(NamedTuple):
@@ -123,11 +135,8 @@ def two_component_points(m: int, d_max: int) -> Enumeration:
     points: list[TwoComponentPoint] = []
     unwitnessed: list[UnwitnessedCandidate] = []
     for d in range(2, d_max + 1):
-        s_frac = s_for_degree(m, d)
-        if s_frac.denominator != 1:
-            continue
-        s = int(s_frac)
-        if s < 1:
+        s, rem = divmod(*_s_ratio(m, d))
+        if rem or s < 1:
             continue
         pair = BlowupPair(d, s)
         if deformation_class(pair) is not DeformationClass.DEGREE2_ALWAYS:
@@ -136,12 +145,12 @@ def two_component_points(m: int, d_max: int) -> Enumeration:
         x_prime, y = inv.p_g, inv.c1sq
         if not on_line(m, (x_prime, y)):
             raise AssertionError(f"cover ({d},{s}) missed its own line, m={m}")
-        total = scroll_class_total(m, x_prime)
-        if total.denominator != 1:
+        total, rem = divmod(*_total_ratio(m, x_prime))
+        if rem:
             unwitnessed.append(UnwitnessedCandidate(
                 d, s, x_prime, y, "r*m+3*l is not an integer"))
             continue
-        witness = find_witness(m, int(total))
+        witness = find_witness(m, total)
         if witness is None:
             unwitnessed.append(UnwitnessedCandidate(
                 d, s, x_prime, y, "no admissible scroll"))

@@ -15,22 +15,18 @@ one side or the other).
 
 A command plans its rows (`Rows`) and writes nothing; `main` then streams
 them.  Closed-form rows are stepped along the runs of `classify.s_runs`
-and held column by column; a run's rows are zipped from its columns, and
-in json its line template is laid out once and filled in row by row.  An
-oracle table is planned and checked whole but measured one `d` at a time,
-as its rows are written: csv and json write each `d`'s rows and flush them
-before the next `d` is measured.
+and held column by column; every format lays out a run's line template
+once and fills it in row by row.  An oracle table is planned and checked
+whole but measured one `d` at a time, as its rows are written and flushed.
 
 Each command imports only the layers it runs: a closed-form row
 `invariants` (and `fractions`), `xi` and `geography` the atlas (and
-`scrolls`), a command that measures the oracle (and numpy), and an
-output format its encoder (`csv` or `json`).
+`scrolls`), the oracle numpy, and json output `json`.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 from functools import cache, partial
@@ -52,15 +48,13 @@ MIN_PRIME = 10 ** 6
 # Fat-point values pinned by independent sources, keyed by (k, r, s).
 CURATED_H0 = {(12, 3, 14): 7, (16, 4, 14): 13}
 
-CLASSIFY_COLUMNS = [
-    "d", "s", "very_ample", "smooth_cover", "alpha_surjective",
-    "ext1_nonzero", "deformation", "rule",
-    "p_g", "q", "chi", "c1sq", "c2", "slope", "mu", "mu2", "codim",
-]
+CLASSIFY_COLUMNS = ["d", "s", "very_ample", "smooth_cover", "alpha_surjective",
+                    "ext1_nonzero", "deformation", "rule",
+                    "p_g", "q", "chi", "c1sq", "c2", "slope", "mu", "mu2",
+                    "codim"]
 CLASSIFY_ORACLE_COLUMNS = CLASSIFY_COLUMNS + [
     "alpha_rank", "alpha_dim_source", "alpha_dim_target", "alpha_coker",
-    "oracle_flag",
-]
+    "oracle_flag"]
 H_COLUMNS = ["k", "r", "s", "seed", "trials", "prime",
              "measured", "virtual", "defect", "expected", "flag"]
 ALPHA_COLUMNS = ["d", "s", "seed", "trials", "prime",
@@ -104,7 +98,7 @@ class _Run:
     `const` maps a key to the value of every row; `vary` maps a key to its
     n values, as a `range` (a stepped int), a list, or a pair `(fn, keys)`
     for a column whose cells are fn of the cells of the columns `keys`.
-    A varying column holds flat values: an int, a str, a Fraction or None.
+    A varying column holds an int, a str, a Fraction or None, never a bool.
     A record that is not stepped is a run of one row.
     """
 
@@ -127,13 +121,12 @@ class _Run:
 
     def first(self) -> dict:
         """The run's first row as a record."""
-        return {**self.const,
-                **{key: next(self.column(key)) for key in self.vary}}
+        return {**self.const, **{k: next(self.column(k)) for k in self.vary}}
 
 
 # ---------------------------------------------------------------------------
-# output formatting: a run's rows are zipped from its columns; json lays
-# out a line template once per run and fills it in row by row by `%`
+# output formatting: each format lays out a run's line template once and
+# fills it in row by row by `%`, from the run's columns
 # ---------------------------------------------------------------------------
 
 def _plain(value) -> str:
@@ -142,6 +135,15 @@ def _plain(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
+
+
+def _csv_text(value) -> str:
+    """_plain(value) as csv.writer writes it: quoted where it holds a comma,
+    a quote or a line end."""
+    text = _plain(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _flatten(record: dict) -> dict:
@@ -153,6 +155,25 @@ def _flatten(record: dict) -> dict:
         else:
             flat[key] = value
     return flat
+
+
+def _derived(value):
+    if value is None or value.__class__ is bool:
+        raise AssertionError(f"a derived cell is {value!r}")
+    return value
+
+
+def _slot(run: _Run, key: str):
+    """A varying column as its slot's `%` conversion and its values: "d" and
+    the ints of a stepped or all-int column, "s" and the values of any other.
+    It fails on a bool (which `%d` writes as 1) or a derived None."""
+    col = run.vary[key]
+    if col.__class__ is tuple:
+        return "s", map(_derived, run.column(key))
+    kinds = set(map(type, col)) if col.__class__ is list else {int}
+    if bool in kinds:
+        raise AssertionError(f"{key} varies over bools")
+    return ("d" if kinds == {int} else "s"), col
 
 
 # Rows per write to stdout: one write per row would be one system call per
@@ -167,11 +188,10 @@ _ITEM = ",\n    "
 
 @cache
 def _flat_row():
-    """The encoder of a flat row as one element of an indented JSON array,
-    by the C encoder (json.dumps with `indent` runs the pure-Python one):
-    the separators put each key on its own line, _json_lines adds the
-    braces' lines.  Built on first json use, so that csv and table output
-    never import json."""
+    """The C encoder (json.dumps with `indent` runs the pure-Python one) of
+    a flat row as one element of an indented JSON array, each key on its
+    own line; _json_lines adds the braces' lines.  Built on first json use,
+    so that csv and table output never import json."""
     import json
     return json.JSONEncoder(sort_keys=True, separators=(_ITEM, ": "),
                             default=str)
@@ -211,21 +231,13 @@ def _json_lines(run: _Run):
     items = dict(zip(sorted(const), encode(const)[1:-1]
                      .replace("%", "%%").split(_ITEM))) if const else {}
     slots = {}
-    for key, col in vary.items():
-        name = encode(key).replace("%", "%%")
-        if col.__class__ is range or (col.__class__ is list
-                                      and set(map(type, col)) == {int}):
-            items[key] = name + ": %d"
-            slots[key] = col
-        else:
-            items[key] = name + ": %s"
-            slots[key] = _encoded(run.column(key))
-    order = sorted(items)
-    template = "  {\n    " + _ITEM.join(map(items.get, order)) + "\n  }"
-    if not slots:
-        return repeat(template % (), run.n)
-    return map(template.__mod__,
-               zip(*[slots[key] for key in order if key in slots]))
+    for key in vary:
+        kind, values = _slot(run, key)
+        items[key] = encode(key).replace("%", "%%") + ": %" + kind
+        slots[key] = values if kind == "d" else _encoded(values)
+    template = "  {\n    " + _ITEM.join(map(items.get, sorted(items))) + "\n  }"
+    return map(template.__mod__, zip(*map(slots.get, sorted(slots)))
+               if slots else repeat((), run.n))
 
 
 def _write_json_array(out, rows: Rows) -> None:
@@ -240,31 +252,55 @@ def _write_json_array(out, rows: Rows) -> None:
     out.write("[]" if sep == "[\n" else "\n]")
 
 
-def _cells(run: _Run, columns: list[str]):
-    """The run's rows as cells in column order, nested dicts flattened,
-    for csv and the table format.
+def _widths(rows: Rows, columns: list[str]) -> list[int]:
+    """The table format's column widths, from one pass over the rows: a
+    run's constant cells are rendered once and its int columns read at
+    their ends; only its other varying cells are rendered one by one."""
+    widths = list(map(len, columns))
+    for run in rows:
+        if run.n == 1:
+            row = map(_flatten(run.first()).get, columns)
+            widths = list(map(max, widths, map(len, map(_plain, row))))
+            continue
+        const = _flatten(run.const)
+        for i, key in enumerate(columns):
+            kind, cells = (_slot(run, key) if key in run.vary
+                           else ("s", (const.get(key),)))
+            if kind == "d":
+                cells = ((cells[0], cells[-1]) if cells.__class__ is range
+                         else (min(cells), max(cells)))
+            widths[i] = max(widths[i], max(map(len, map(_plain, cells))))
+    return widths
 
-    csv writes None as "" and any other value as str() does, so only a
-    bool needs _plain, and a bool is never a varying cell."""
-    const = _flatten(run.const)
-    cells = []
-    for c in columns:
-        if c in run.vary:
-            cells.append(run.column(c))
+
+def _lines(run: _Run, columns: list[str], text, sep: str, widths):
+    """The run's csv or table-format lines, without line ends, each cell
+    `text` of its value padded to its width.  A longer run than one row
+    lays out its line template once: a constant cell in it, a slot for a
+    varying one."""
+    if run.n == 1:
+        row = map(_flatten(run.first()).get, columns)
+        return (sep.join(map(str.ljust, map(text, row), widths)),)
+    const, cells, slots = _flatten(run.const), [], []
+    for key, width in zip(columns, widths):
+        if key in run.vary:
+            kind, values = _slot(run, key)
+            cells.append(f"%-{width}{kind}")
+            slots.append(values if kind == "d" else map(text, values))
         else:
-            value = const.get(c)
-            cells.append(repeat(_plain(value) if value.__class__ is bool
-                                else value, run.n))
-    return zip(*cells)
+            cells.append(text(const.get(key)).ljust(width).replace("%", "%%"))
+    return map(sep.join(cells).__mod__,
+               zip(*slots) if slots else repeat((), run.n))
 
 
 def emit(rows: Rows, columns: list[str], fmt: str, single: bool = False) -> None:
-    """Write `rows` to stdout, a chunk of rows at a time.
+    """Write `rows` to stdout, a chunk of rows at a time; every format lays
+    out a run's line template once and fills it in row by row.
 
-    csv and json flush stdout after each part of `rows`, before the next
-    part is called.  The table format reads every part twice, for its
-    column widths and then for its rows.  With `single`, only the first row
-    is written (in csv, every row).
+    stdout is flushed after each part of `rows`, before the next part is
+    called.  The table format reads every part twice, for its column widths
+    and then for its rows.  With `single`, only the first row is written
+    (in csv, every row).
     """
     out = sys.stdout
     if single and fmt != "csv":
@@ -272,41 +308,27 @@ def emit(rows: Rows, columns: list[str], fmt: str, single: bool = False) -> None
         if fmt == "json":
             out.write(_dumps(record) + "\n")
             return
-        flat = _flatten(record)
-        width = max(len(c) for c in columns)
-        for c in columns:
-            out.write(f"{c:<{width}}  {_plain(flat.get(c))}\n".rstrip() + "\n")
+        flat, width = _flatten(record), max(map(len, columns))
+        out.write("".join(f"{c:<{width}}  {_plain(flat.get(c))}".rstrip()
+                          + "\n" for c in columns))
         return
     if fmt == "json":
         _write_json_array(out, rows)
         out.write("\n")
         return
-    if fmt == "csv":
-        import csv
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        head = [columns]
-        for part in rows.parts():
-            cells = chain.from_iterable(_cells(run, columns) for run in part)
-            for chunk in _chunks(chain(head, cells)):
-                writer.writerows(chunk)
-                out.write(buf.getvalue())
-                buf.seek(0)
-                buf.truncate()
-            out.flush()
-            head = []
-        return
-    widths = [len(c) for c in columns]
-    for run in rows:
-        for cells in _cells(run, columns):
-            widths = [max(w, len(_plain(v))) for w, v in zip(widths, cells)]
-    out.write("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()
-              + "\n")
-    for chunk in _chunks(chain.from_iterable(_cells(run, columns)
-                                             for run in rows)):
-        out.write("".join(
-            "  ".join(_plain(v).ljust(w) for v, w in zip(cells, widths)).rstrip()
-            + "\n" for cells in chunk))
+    if fmt == "csv":   # a width of 0 pads nothing
+        text, sep, eol, widths = _csv_text, ",", "\r\n", [0] * len(columns)
+    else:
+        text, sep, eol, widths = _plain, "  ", "\n", _widths(rows, columns)
+    head = [sep.join(map(text, map(str.ljust, columns, widths)))]
+    for part in rows.parts():
+        lines = chain.from_iterable(_lines(run, columns, text, sep, widths)
+                                    for run in part)
+        for chunk in _chunks(chain(head, lines)):
+            out.write(eol.join(chunk if fmt == "csv" else map(str.rstrip, chunk))
+                      + eol)
+        head = []
+        out.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +358,9 @@ def _alpha_measurements(d: int, s_values, config: RunConfig) -> list[dict]:
         expected = None if formula is TriState.UNKNOWN else formula is TriState.YES
         out.append({
             "rank": rank, "dim_source": dim_source, "dim_target": dim_target,
-            "coker": dim_target - rank,
+            "coker": dim_target - rank, "surjective_formula": formula.value,
             "surjective_measured": "yes" if surjective else "no",
-            "surjective_formula": formula.value,
-            "flag": _flag(expected, surjective),
-        })
+            "flag": _flag(expected, surjective)})
     return out
 
 
@@ -351,8 +371,7 @@ def classification_record(pair: BlowupPair) -> dict:
 
     rec = classify(pair)
     row = {
-        "d": pair.d,
-        "s": pair.s,
+        "d": pair.d, "s": pair.s,
         "very_ample": rec.very_ample.value,
         "smooth_cover": rec.smooth_cover.value,
         "alpha_surjective": rec.alpha_surjective.value,
@@ -366,14 +385,12 @@ def classification_record(pair: BlowupPair) -> dict:
     else:
         row.update(p_g=None, q=None, chi=None, c1sq=None, c2=None, slope=None)
     if rec.deformation is DeformationClass.DEGREE1:
-        dims = moduli_dims_degree1(pair)
-        row.update(dims._asdict())
+        row.update(moduli_dims_degree1(pair)._asdict())
     elif rec.deformation is DeformationClass.DEGREE2_ALWAYS:
         row.update(mu=moduli_dim_degree2(pair), mu2=None, codim=None)
     else:
         row.update(mu=None, mu2=None, codim=None)
     return row
-
 
 
 def _point_record(d: int, s: int) -> dict:
@@ -399,8 +416,7 @@ def expected_h0(k: int, r: int, s: int) -> int | None:
     if r == 1:
         return max(fatpoints.FatPointSystem(k, 1, s).ambient_dim - s, 0)
     if r == 4 and k >= 10 and k % 2 == 0:
-        d = (k - 6) // 2
-        pair = BlowupPair(d, s)
+        pair = BlowupPair((k - 6) // 2, s)
         if smooth_cover_exists(pair) is TriState.YES:
             from .invariants import h0_normal_of_cover
             return h0_normal_of_cover(pair) + 1
@@ -424,8 +440,7 @@ def measurement_record(which: str, k: int, r: int, s: int,
         expected = None if expected is None else expected - chi
         virtual -= chi   # max(chi, 0) - chi = max(-chi, 0)
     return {
-        "k": k, "r": r, "s": s,
-        "seed": config.seed, "trials": config.trials, "prime": config.prime,
+        "k": k, "r": r, "s": s, **config._asdict(),
         "measured": measured, "virtual": virtual,
         "defect": measured - virtual, "expected": expected,
         "flag": _flag(expected, measured),
@@ -433,11 +448,8 @@ def measurement_record(which: str, k: int, r: int, s: int,
 
 
 def alpha_record(d: int, s: int, config: RunConfig) -> dict:
-    return {
-        "d": d, "s": s,
-        "seed": config.seed, "trials": config.trials, "prime": config.prime,
-        **_alpha_measurements(d, [s], config)[0],
-    }
+    return {"d": d, "s": s, **config._asdict(),
+            **_alpha_measurements(d, [s], config)[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +467,8 @@ class Rows:
     next, so that work reaches the reader part by part.  A part called
     again returns the same runs without redoing its work.  `mismatch`
     (a MISMATCH flag in some row) is final once the last part has been
-    called.
-
-    A run holds its columns, not its rows: the rows are rendered from them
-    on each pass, so that no pass holds them all.  `len` counts rows.
+    called.  `len` counts rows.  A run holds its columns, not its rows: the
+    rows are rendered from them on each pass, so that no pass holds them all.
     """
 
     def __init__(self, count: int, *parts, mismatch: bool = False):
@@ -620,13 +630,10 @@ def cmd_geography(args, config: RunConfig) -> tuple[Rows, list[str]]:
              for line in geography_lines(args.d_range)]
     points = []
     for d in args.d_range:
-        def record_at(s, d=d):
-            return _point_record(d, s)
-        points.extend(_stepped_run(record_at, run, {})
+        points.extend(_stepped_run(partial(_point_record, d), run, {})
                       for run in s_runs(d, range(1, zones(d).cover_yes_max + 1)))
-    rows = Rows(len(lines) + sum(run.n for run in points),
-                lambda: chain(lines, points))
-    return rows, GEOGRAPHY_COLUMNS
+    return (Rows(len(lines) + sum(run.n for run in points),
+                 lambda: chain(lines, points)), GEOGRAPHY_COLUMNS)
 
 
 # ---------------------------------------------------------------------------
@@ -651,17 +658,15 @@ def _add_run_options(parser: argparse.ArgumentParser, top: bool) -> None:
     parser.add_argument("--format", choices=("json", "csv", "table"),
                         default=d("table"), dest="output_format",
                         help="stdout format")
-    parser.add_argument("--oracle", action="store_true",
-                        default=d(False),
+    parser.add_argument("--oracle", action="store_true", default=d(False),
                         help="cross-check classification rows against the "
                              "finite-field oracle (classify/table)")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="cangeo",
-        description="Invariants, deformation classes and geography of "
-                    "canonical degree-2 covers of blown-up planes.")
+        prog="cangeo", description="Invariants, deformation classes and "
+        "geography of canonical degree-2 covers of blown-up planes.")
     _add_run_options(parser, top=True)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
@@ -687,8 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_options(p, top=False)
 
     p = sub.add_parser("xi", help="enumerate two-component invariant pairs")
-    p.add_argument("--m", type=int, required=True,
-                   help="line index, >= 4")
+    p.add_argument("--m", type=int, required=True, help="line index, >= 4")
     p.add_argument("--dmax", type=int, required=True,
                    help="largest cover degree to scan, >= 2")
     _add_run_options(p, top=False)
@@ -706,13 +710,10 @@ def _resolve_config(parser: argparse.ArgumentParser, args) -> RunConfig:
     seed = args.seed
     if seed is None:
         raw = os.environ.get("CANGEO_SEED")
-        if raw is None:
-            seed = DEFAULT_SEED
-        else:
-            try:
-                seed = _int_literal(raw)
-            except ValueError:
-                parser.error(f"CANGEO_SEED is not an integer: {raw!r}")
+        try:
+            seed = DEFAULT_SEED if raw is None else _int_literal(raw)
+        except ValueError:
+            parser.error(f"CANGEO_SEED is not an integer: {raw!r}")
     if seed < 0:
         parser.error("seed must be nonnegative")
     if args.trials < 1:
@@ -751,8 +752,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # nothing has been written yet, so stdout stays empty on exit 2
         parser.error(str(exc))
-    # an oracle table measures its columns here, one at a time, as emit
-    # writes them
+    # an oracle table measures its columns here, as emit writes them
     try:
         emit(rows, columns, args.output_format,
              single=args.command in ("classify", "oracle"))

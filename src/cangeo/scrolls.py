@@ -11,7 +11,6 @@ the exclusion test here exploits.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
@@ -56,11 +55,12 @@ def scroll_surface_invariants(spec: ScrollSpec, cls: DivisorClass) -> tuple[int,
     """
     m, l, r = cls.m, cls.l, spec.r
     t = r * m + 3 * l
-    p_g = Fraction((m - 2) * (m - 1) * t, 6) - Fraction((m - 2) * (m - 1) * (m + 1), 2)
+    # p_g = (m-2)(m-1)t/6 - (m-2)(m-1)(m+1)/2
+    p_g, rem = divmod((m - 2) * (m - 1) * (t - 3 * (m + 1)), 6)
     c1sq = (m - 3) * (m - 1) * t - m * (m - 3) * (3 * m + 1)
-    if p_g.denominator != 1:
+    if rem:
         raise ValueError(f"non integral p_g for {spec}, {cls}")
-    return int(p_g), c1sq
+    return p_g, c1sq
 
 
 def line_for_m(m: int) -> tuple[int, int, int]:

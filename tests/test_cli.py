@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -694,6 +695,130 @@ def test_table_format_takes_two_passes_over_a_plan(capsys):
     assert out.splitlines()[1].split() == ["0", "0", "true", "1"]
 
 
+# --- csv and table-format line templates ----------------------------------
+
+# Constant cells that csv must quote or a `%` template must escape, and the
+# values that are not written by str()
+_AWKWARD = {"comma": "a,b", "quote": 'say "hi"', "cr": "x\ry", "lf": "x\ny",
+            "pct": "100% %d %%", "quotes": '""', "empty": "", "none": None,
+            "yes": True, "no": False}
+_TEMPLATE_COLUMNS = ["kind", "i", "j", "m", "note", "ratio", *_AWKWARD,
+                     "w_r", "absent", "tail"]
+
+
+def _template_runs():
+    """Runs whose stepped columns cross digit and sign boundaries, with int
+    list columns, a list column holding None, a derived Fraction column and
+    a last column that is empty on some rows, then rows of their own.  The
+    widest j is the last of a stepped column and the widest m the middle of
+    a list, so that neither is seen at a column's first row."""
+    ratio = (Fraction, ("i", "den"))
+    n = 25
+    return [
+        cli._Run(n, {"kind": "a", "den": 7, **_AWKWARD},
+                 {"i": range(-12, 13), "j": range(10, 10 - 3 * n, -3),
+                  "note": [None if k % 3 else f"n{k},%" for k in range(n)],
+                  "ratio": ratio,
+                  "tail": ["" if k % 2 else "end" for k in range(n)]}),
+        cli._Run(10, {"kind": "b%", "den": -3, "tail": "", **_AWKWARD},
+                 {"i": range(95, 105), "j": range(10, -20, -3),
+                  "m": [3, -1234, 7, 0, 12, 5, 6, 8, 9, 1],
+                  "note": list(range(-5, 5)), "ratio": ratio}),
+        cli._Run(7, {"kind": "c", "i": 2, "den": 5, "tail": "t"},
+                 {"j": range(10, -11, -3), "ratio": ratio}),
+        cli._Run(1, {"kind": "one", "i": -1, "j": 3, "note": 'x"%s',
+                     "ratio": Fraction(-1, 3), "w": {"r": 6, "l": None},
+                     **_AWKWARD, "tail": "  "}),
+        cli._Run(1, {"kind": "two", "i": 3, "den": 4, "tail": "last"},
+                 {"j": [7], "note": [None], "ratio": ratio}),
+    ]
+
+
+def _expanded(run) -> list[dict]:
+    """The run's rows, computed here from its fields; nested dicts
+    flattened."""
+    rows = []
+    for k in range(run.n):
+        row = {}
+        for key, value in run.const.items():
+            if isinstance(value, dict):
+                row.update((f"{key}_{sub}", v) for sub, v in value.items())
+            else:
+                row[key] = value
+        derived = {}
+        for key, col in run.vary.items():
+            if isinstance(col, tuple):
+                derived[key] = col
+            else:
+                row[key] = col[k]
+        for key, (fn, sources) in derived.items():
+            row[key] = fn(*(row.get(source) for source in sources))
+        rows.append(row)
+    return rows
+
+
+def _text(value) -> str:
+    if value is None:
+        return ""
+    if value is True or value is False:
+        return "true" if value else "false"
+    return str(value)
+
+
+def test_csv_and_table_templates_write_what_the_reference_writes(capsys):
+    runs = _template_runs()
+    cells = [[_text(row.get(c)) for c in _TEMPLATE_COLUMNS]
+             for run in runs for row in _expanded(run)]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerows([_TEMPLATE_COLUMNS,
+                                                        *cells])
+    widths = [max(len(line[i]) for line in [_TEMPLATE_COLUMNS, *cells])
+              for i in range(len(_TEMPLATE_COLUMNS))]
+    table = "".join("  ".join(v.ljust(w) for v, w in zip(line, widths))
+                    .rstrip() + "\n" for line in [_TEMPLATE_COLUMNS, *cells])
+    for fmt, want in (("csv", buf.getvalue()), ("table", table)):
+        cli.emit(cli.Rows(len(cells), lambda: runs), _TEMPLATE_COLUMNS, fmt)
+        assert capsys.readouterr().out == want, fmt
+
+
+@pytest.mark.parametrize("vary", [
+    {"flag": [True, False, True]},
+    {"flag": [1, True, 3]},
+    {"ratio": (lambda i: None if i == 2 else Fraction(i, 3), ("i",))},
+], ids=["bools", "an-int-and-a-bool", "a-derived-none"])
+@pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+def test_a_template_slot_refuses_a_bool_or_a_derived_none(capsys, vary, fmt):
+    # `%d` would write a bool as 1 and `%s` a None as "None"
+    run = cli._Run(3, {"kind": "x"}, {"i": range(3), **vary})
+    with pytest.raises(AssertionError):
+        cli.emit(cli.Rows(3, lambda: [run]), ["kind", "i", *vary], fmt)
+    capsys.readouterr()
+
+
+# sha256 of the stdout of invocations that no stored benchmark hash
+# covers, recorded from the csv.writer and per-cell table renderers that
+# the line templates replaced
+_GOLDEN = {
+    "table --d 2..12 --s 1..80":
+        "e87c350b19ac4a65abdcf0d24dd3393e05036ac1cd692ee73fc82bacc01c0505",
+    "geography --d 2..30":
+        "1e2433d274be76093b0ccd087783c2cfa41719eaef214a4ad390ecea307ad9b5",
+    "geography --d 2..30 --format csv":
+        "ab9306be0e1839d1b67db90bfdb8dbf39d366543fee372f59992d9dc92eb764f",
+    "table --d 2..6 --s 1..30 --oracle":
+        "679ada4761965f95bf94e4a11f50b16fe05ff44b0402c337cd0f49460ebdb8dd",
+    "xi --m 5 --dmax 300 --format csv":
+        "3aefcbbf9421f57a44fd90902b81426fa0241a08ccc56554c22a7d5a72665fad",
+}
+
+
+@pytest.mark.parametrize("argv", _GOLDEN)
+def test_output_matches_its_golden_hash(argv):
+    proc = run_cli(*argv.split())
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == _GOLDEN[argv]
+
+
 # Spawns the command and prints its exit code and peak RSS in KiB.  Linux
 # counts the RSS a process had before exec in its peak, and a spawned child
 # starts in a copy of its parent; so the command is spawned from this small
@@ -964,10 +1089,11 @@ def numpy_imports():
     (["oracle", "alpha", "--d", "5", "--s", "12"],
      {"cangeo.fatpoints", "numpy"},
      {"cangeo.atlas", "cangeo.scrolls", "cangeo.invariants", *NEVER_LOADED}),
+    # csv cells are quoted by cli's own rule: the csv module is not loaded
     (["table", "--d", "2..9", "--s", "1..50", "--format", "csv"],
-     {"cangeo.invariants", "csv"},
-     {"cangeo.atlas", "cangeo.scrolls", "cangeo.fatpoints", "numpy", "json",
-      *NEVER_LOADED}),
+     {"cangeo.invariants"},
+     {"cangeo.atlas", "cangeo.scrolls", "cangeo.fatpoints", "numpy", "csv",
+      "json", *NEVER_LOADED}),
     (["table", "--d", "2..9", "--s", "1..50"],
      {"cangeo.invariants"},
      {"cangeo.atlas", "cangeo.scrolls", "numpy", "csv", "json",
