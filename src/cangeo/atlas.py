@@ -14,12 +14,15 @@ so this module states no zone boundary of its own.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .classify import BlowupPair, DeformationClass, deformation_class, zones
 from .invariants import cover_invariants
-from .scrolls import DivisorClass, ScrollSpec, on_line, scroll_admissible, scroll_surface_invariants
+from .scrolls import (DivisorClass, ScrollSpec, line_for_m, scroll_admissible,
+                      scroll_surface_invariants)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _s_ratio(m: int, d: int) -> tuple[int, int]:
@@ -45,6 +48,7 @@ def s_for_degree(m: int, d: int) -> Fraction:
         raise ValueError("m must be at least 4")
     if d < 1:
         raise ValueError("d must be positive")
+    from fractions import Fraction
     return Fraction(*_s_ratio(m, d))
 
 
@@ -52,6 +56,7 @@ def scroll_class_total(m: int, x_prime: int) -> Fraction:
     """The quantity r*m + 3*l forced by p_g = x_prime on the line for m."""
     if m < 4:
         raise ValueError("m must be at least 4")
+    from fractions import Fraction
     return Fraction(*_total_ratio(m, x_prime))
 
 
@@ -74,16 +79,26 @@ def find_witness(m: int, total: int) -> ScrollWitness | None:
     lexicographically smallest admissible one, because admissibility only
     constrains the minimum entry a.
     """
+    found = _witness_search(m, total)
+    return None if found is None else _witness(*found)
+
+
+def _witness_search(m: int, total: int) -> tuple[ScrollSpec, DivisorClass] | None:
+    """The scroll S(a, b, c) and the class mH + lF of find_witness, or None."""
     for r in (6, 7, 8):
-        if (total - r * m) % 3:
+        l, rem = divmod(total - r * m, 3)
+        if rem:
             continue
-        l = (total - r * m) // 3
         cls = DivisorClass(m, l)
         for a in range(1, (r - 3) // 3 + 1):
             spec = ScrollSpec(a, a, r - 3 - 2 * a)
             if scroll_admissible(spec, cls):
-                return ScrollWitness(r=r, l=l, a=spec.a, b=spec.b, c=spec.c)
+                return spec, cls
     return None
+
+
+def _witness(spec: ScrollSpec, cls: DivisorClass) -> ScrollWitness:
+    return ScrollWitness(spec.r, cls.l, *spec)
 
 
 class TwoComponentPoint(NamedTuple):
@@ -134,6 +149,8 @@ def two_component_points(m: int, d_max: int) -> Enumeration:
         raise ValueError("d_max must be at least 2")
     points: list[TwoComponentPoint] = []
     unwitnessed: list[UnwitnessedCandidate] = []
+    # on_line(m, .), with the line read once
+    num, den, intercept = line_for_m(m)
     for d in range(2, d_max + 1):
         s, rem = divmod(*_s_ratio(m, d))
         if rem or s < 1:
@@ -143,23 +160,21 @@ def two_component_points(m: int, d_max: int) -> Enumeration:
             continue
         inv = cover_invariants(pair)
         x_prime, y = inv.p_g, inv.c1sq
-        if not on_line(m, (x_prime, y)):
+        if den * y != num * x_prime + den * intercept:
             raise AssertionError(f"cover ({d},{s}) missed its own line, m={m}")
         total, rem = divmod(*_total_ratio(m, x_prime))
         if rem:
             unwitnessed.append(UnwitnessedCandidate(
                 d, s, x_prime, y, "r*m+3*l is not an integer"))
             continue
-        witness = find_witness(m, total)
-        if witness is None:
+        found = _witness_search(m, total)
+        if found is None:
             unwitnessed.append(UnwitnessedCandidate(
                 d, s, x_prime, y, "no admissible scroll"))
             continue
-        spec = ScrollSpec(witness.a, witness.b, witness.c)
-        if scroll_surface_invariants(spec, DivisorClass(m, witness.l)) != (x_prime, y):
+        if scroll_surface_invariants(*found) != (x_prime, y):
             raise AssertionError(f"witness does not reproduce ({x_prime},{y})")
-        points.append(TwoComponentPoint(
-            x_prime=x_prime, y=y, m=m, d=d, s=s, scroll_witness=witness))
+        points.append(TwoComponentPoint(x_prime, y, m, d, s, _witness(*found)))
     return Enumeration(m=m, d_max=d_max, points=tuple(points),
                        unwitnessed=tuple(unwitnessed))
 

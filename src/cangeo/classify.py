@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache, wraps
+from math import gcd
 from typing import NamedTuple
 
 
@@ -251,7 +252,17 @@ def zone_rule(pair: BlowupPair) -> str:
         return "d=2 rigid cover (s=1)"
     if d <= 6:
         return f"rigid cover zone s <= (d^2-d+2)/2 = {zones(d).rigid_max}"
-    # the module's one Fraction, imported here so that importing it
-    # loads no fractions (and decimal)
-    from fractions import Fraction
-    return f"rigid cover zone s <= (2d^2+13d+21)/10 = {Fraction(2 * d * d + 13 * d + 21, 10)}"
+    return ("rigid cover zone s <= (2d^2+13d+21)/10 = "
+            + _ratio_text(2 * d * d + 13 * d + 21, 10))
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) without building the Fraction: "p/q" in
+    lowest terms with q > 0, or "p" when q is 1."""
+    if den > 0:
+        g = gcd(num, den)
+    elif den:
+        g = -gcd(num, den)
+    else:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    return f"{num // g}" if den == g else f"{num // g}/{den // g}"

@@ -20,8 +20,8 @@ once and fills it in row by row.  An oracle table is planned and checked
 whole but measured one `d` at a time, as its rows are written and flushed.
 
 Each command imports only the layers it runs: a closed-form row
-`invariants` (and `fractions`), `xi` and `geography` the atlas (and
-`scrolls`), the oracle numpy, and json output `json`.
+`invariants`, `xi` and `geography` the atlas (and `scrolls`), the oracle
+numpy, and json output `json`; no closed-form command loads `fractions`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from functools import cache, partial
 from itertools import chain, islice, repeat
 from typing import NamedTuple
 
-from .classify import (BlowupPair, DeformationClass, TriState,
+from .classify import (BlowupPair, DeformationClass, TriState, _ratio_text,
                        alpha_surjective, classify, s_runs,
                        smooth_cover_exists, zone_rule, zones)
 from .defaults import (DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, MAX_PRIME,
@@ -61,8 +61,7 @@ ALPHA_COLUMNS = ["d", "s", "seed", "trials", "prime",
                  "rank", "dim_source", "dim_target", "coker",
                  "surjective_measured", "surjective_formula", "flag"]
 XI_COLUMNS = ["x_prime", "y", "m", "d", "s", "certified",
-              "scroll_witness_r", "scroll_witness_l",
-              "scroll_witness_a", "scroll_witness_b", "scroll_witness_c"]
+              *(f"scroll_witness_{key}" for key in "rlabc")]
 GEOGRAPHY_COLUMNS = ["kind", "d", "intercept", "x_min", "x_max",
                      "s", "chi", "c1sq", "deformation"]
 
@@ -99,6 +98,8 @@ class _Run:
     n values, as a `range` (a stepped int), a list, or a pair `(fn, keys)`
     for a column whose cells are fn of the cells of the columns `keys`.
     A varying column holds an int, a str, a Fraction or None, never a bool.
+    A dict in either is a nested group, its sub-keys mapped the same way:
+    an object in json, the columns `key_sub` in csv and the table format.
     A record that is not stepped is a run of one row.
     """
 
@@ -120,8 +121,12 @@ class _Run:
         return iter(col)
 
     def first(self) -> dict:
-        """The run's first row as a record."""
+        """The first row of a run without varying groups, as a record."""
         return {**self.const, **{k: next(self.column(k)) for k in self.vary}}
+
+    def flat(self) -> _Run:
+        """The run with each nested group's columns as columns `key_sub`."""
+        return _Run(self.n, _flatten(self.const), _flatten(self.vary))
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +154,8 @@ def _csv_text(value) -> str:
 def _flatten(record: dict) -> dict:
     flat = {}
     for key, value in record.items():
-        if isinstance(value, dict):
-            for sub, subvalue in value.items():
-                flat[f"{key}_{sub}"] = subvalue
+        if value.__class__ is dict:
+            flat.update((f"{key}_{sub}", v) for sub, v in value.items())
         else:
             flat[key] = value
     return flat
@@ -190,17 +194,12 @@ _ITEM = ",\n    "
 def _flat_row():
     """The C encoder (json.dumps with `indent` runs the pure-Python one) of
     a flat row as one element of an indented JSON array, each key on its
-    own line; _json_lines adds the braces' lines.  Built on first json use,
+    own line; _object adds the braces' lines.  Built on first json use,
     so that csv and table output never import json."""
     import json
+    # default=str writes a Fraction as "1/9"
     return json.JSONEncoder(sort_keys=True, separators=(_ITEM, ": "),
                             default=str)
-
-
-def _dumps(payload) -> str:
-    import json
-    # default=str writes a Fraction as "1/9"
-    return json.dumps(payload, indent=2, sort_keys=True, default=str)
 
 
 def _chunks(items):
@@ -217,32 +216,43 @@ def _encoded(values):
         yield from encode(chunk)[1:-1].split(_ITEM)
 
 
-def _json_lines(run: _Run):
-    """Each row of the run as an element of _dumps of a list, without the
-    comma."""
-    const, vary = run.const, run.vary
-    if any(value.__class__ in (dict, list) for value in const.values()):
-        keys = [*const, *vary]
-        return (_dumps([dict(zip(keys, values))])[2:-2]
-                for values in zip(*map(run.column, keys)))
-    # every item in the encoder's (sorted) key order: a constant one as
-    # text, a varying one as a slot
+def _object(run: _Run, pad: str):
+    """The `%` template of the run's rows as JSON objects whose members
+    each start a line `pad` (a line end and an indent), and the values of
+    its slots in template order.  Every member is in the encoder's (sorted)
+    key order: a constant one as text, a varying one as a slot, a nested
+    group as an object of its own, one indent deeper."""
     encode = _flat_row().encode
+    const = {k: v for k, v in run.const.items() if v.__class__ is not dict}
     items = dict(zip(sorted(const), encode(const)[1:-1]
                      .replace("%", "%%").split(_ITEM))) if const else {}
     slots = {}
-    for key in vary:
-        kind, values = _slot(run, key)
-        items[key] = encode(key).replace("%", "%%") + ": %" + kind
-        slots[key] = values if kind == "d" else _encoded(values)
-    template = "  {\n    " + _ITEM.join(map(items.get, sorted(items))) + "\n  }"
-    return map(template.__mod__, zip(*map(slots.get, sorted(slots)))
-               if slots else repeat((), run.n))
+    for key in {*run.const, *run.vary} - const.keys():
+        col = run.vary.get(key)
+        if col is None or col.__class__ is dict:   # a nested group
+            group = _Run(run.n, run.const.get(key, {}), col or {})
+            text, slots[key] = _object(group, pad + "  ")
+        else:
+            kind, values = _slot(run, key)
+            text = "%" + kind
+            slots[key] = [values if kind == "d" else _encoded(values)]
+        items[key] = encode(key).replace("%", "%%") + ": " + text
+    text = ("," + pad).join(map(items.get, sorted(items)))
+    return ("{" + pad + text + pad[:-2] + "}" if items else "{}",
+            [values for key in sorted(slots) for values in slots[key]])
+
+
+def _json_lines(run: _Run):
+    """Each row of the run as an element of a JSON array with two-space
+    indents and sorted keys, without the comma."""
+    template, slots = _object(run, _ITEM[1:])
+    return map(("  " + template).__mod__,
+               zip(*slots) if slots else repeat((), run.n))
 
 
 def _write_json_array(out, rows: Rows) -> None:
-    """Write _dumps of the list of the rows, a chunk of rows at a time,
-    and flush `out` after each part of the rows."""
+    """Write the rows as one JSON array, a chunk of rows at a time, and
+    flush `out` after each part of the rows."""
     sep = "[\n"
     for part in rows.parts():
         for chunk in _chunks(chain.from_iterable(map(_json_lines, part))):
@@ -257,15 +267,14 @@ def _widths(rows: Rows, columns: list[str]) -> list[int]:
     run's constant cells are rendered once and its int columns read at
     their ends; only its other varying cells are rendered one by one."""
     widths = list(map(len, columns))
-    for run in rows:
+    for run in map(_Run.flat, rows):
         if run.n == 1:
-            row = map(_flatten(run.first()).get, columns)
+            row = map(run.first().get, columns)
             widths = list(map(max, widths, map(len, map(_plain, row))))
             continue
-        const = _flatten(run.const)
         for i, key in enumerate(columns):
             kind, cells = (_slot(run, key) if key in run.vary
-                           else ("s", (const.get(key),)))
+                           else ("s", (run.const.get(key),)))
             if kind == "d":
                 cells = ((cells[0], cells[-1]) if cells.__class__ is range
                          else (min(cells), max(cells)))
@@ -275,20 +284,16 @@ def _widths(rows: Rows, columns: list[str]) -> list[int]:
 
 def _lines(run: _Run, columns: list[str], text, sep: str, widths):
     """The run's csv or table-format lines, without line ends, each cell
-    `text` of its value padded to its width.  A longer run than one row
-    lays out its line template once: a constant cell in it, a slot for a
-    varying one."""
-    if run.n == 1:
-        row = map(_flatten(run.first()).get, columns)
-        return (sep.join(map(str.ljust, map(text, row), widths)),)
-    const, cells, slots = _flatten(run.const), [], []
+    `text` of its value padded to its width.  The run's line template is
+    laid out once: a constant cell in it, a slot for a varying one."""
+    run, cells, slots = run.flat(), [], []
     for key, width in zip(columns, widths):
         if key in run.vary:
             kind, values = _slot(run, key)
             cells.append(f"%-{width}{kind}")
             slots.append(values if kind == "d" else map(text, values))
         else:
-            cells.append(text(const.get(key)).ljust(width).replace("%", "%%"))
+            cells.append(text(run.const.get(key)).ljust(width).replace("%", "%%"))
     return map(sep.join(cells).__mod__,
                zip(*slots) if slots else repeat((), run.n))
 
@@ -306,7 +311,7 @@ def emit(rows: Rows, columns: list[str], fmt: str, single: bool = False) -> None
     if single and fmt != "csv":
         record = next(iter(rows)).first()
         if fmt == "json":
-            out.write(_dumps(record) + "\n")
+            out.write(_object(_Run(1, record), "\n  ")[0] % () + "\n")
             return
         flat, width = _flatten(record), max(map(len, columns))
         out.write("".join(f"{c:<{width}}  {_plain(flat.get(c))}".rstrip()
@@ -381,7 +386,7 @@ def classification_record(pair: BlowupPair) -> dict:
     }
     if rec.smooth_cover is TriState.YES:
         inv = cover_invariants(pair)
-        row.update(inv._asdict(), slope=inv.slope)
+        row.update(inv._asdict(), slope=_ratio_text(inv.c1sq, inv.c2))
     else:
         row.update(p_g=None, q=None, chi=None, c1sq=None, c2=None, slope=None)
     if rec.deformation is DeformationClass.DEGREE1:
@@ -542,11 +547,9 @@ def _classification_rows(d_values, s_values: range, config: RunConfig,
     passes alpha_rank's checks; then each d is a part of the rows, which
     measures its column when first called, and each run takes its slice of
     the measurements."""
-    from fractions import Fraction
-
     # the slope c1sq/c2 of a row, derived cell by cell along a run
-    # (SurfaceInvariants.slope)
-    derived = {"slope": (Fraction, ("c1sq", "c2"))}
+    # (SurfaceInvariants.slope as text)
+    derived = {"slope": (_ratio_text, ("c1sq", "c2"))}
     planned = []
     for d in d_values:
         def record_at(s, d=d):
@@ -600,7 +603,7 @@ def cmd_oracle(args, config: RunConfig) -> tuple[Rows, list[str]]:
 
 
 def cmd_xi(args, config: RunConfig) -> tuple[Rows, list[str]]:
-    from .atlas import two_component_points
+    from .atlas import ScrollWitness, two_component_points
 
     result = two_component_points(args.m, args.dmax)
     certified = args.m <= 17
@@ -614,12 +617,13 @@ def cmd_xi(args, config: RunConfig) -> tuple[Rows, list[str]]:
                  f"but no divisor of this line's class realizes it: "
                  f"{miss.reason}\n" for miss in result.unwitnessed)
     sys.stderr.write("".join(notes))
-    # records as dicts: a record is a tuple, which json and csv would
-    # write as a list
-    rows = [{**pt._asdict(), "scroll_witness": pt.scroll_witness._asdict(),
-             "certified": certified}
-            for pt in result.points]
-    return Rows.of(rows), XI_COLUMNS
+    # one run of every point, the witness a nested group of int columns
+    x_prime, y, _, d, s, witness = list(zip(*result.points)) or [()] * 6
+    run = _Run(len(x_prime), {"m": args.m, "certified": certified}, {
+        "x_prime": list(x_prime), "y": list(y), "d": list(d), "s": list(s),
+        "scroll_witness": dict(zip(ScrollWitness._fields,
+                                   map(list, zip(*witness))))})
+    return Rows(run.n, lambda: [run] if run.n else []), XI_COLUMNS
 
 
 def cmd_geography(args, config: RunConfig) -> tuple[Rows, list[str]]:
@@ -673,14 +677,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a single (d, s) pair")
     p.add_argument("d", type=int, help="branch curve half-degree, >= 2")
     p.add_argument("s", type=int, help="number of blown-up points, >= 1")
-    _add_run_options(p, top=False)
 
     p = sub.add_parser("table", help="classify a rectangle of (d, s) pairs")
     p.add_argument("--d", dest="d_range", type=_span, required=True,
                    metavar="A..B", help="degree range, e.g. 3..5")
     p.add_argument("--s", dest="s_range", type=_span, required=True,
                    metavar="A..B", help="point-count range, e.g. 1..14")
-    _add_run_options(p, top=False)
 
     p = sub.add_parser("oracle", help="run a finite-field measurement")
     p.add_argument("which", choices=("h0", "h1", "alpha"),
@@ -689,20 +691,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, help="vanishing multiplicity (h0/h1)")
     p.add_argument("--d", type=int, help="cover degree parameter (alpha)")
     p.add_argument("--s", type=int, required=True, help="number of points")
-    _add_run_options(p, top=False)
 
     p = sub.add_parser("xi", help="enumerate two-component invariant pairs")
     p.add_argument("--m", type=int, required=True, help="line index, >= 4")
     p.add_argument("--dmax", type=int, required=True,
                    help="largest cover degree to scan, >= 2")
-    _add_run_options(p, top=False)
 
     p = sub.add_parser("geography", help="emit line and point data for the "
                                          "(chi, c1^2) plane")
     p.add_argument("--d", dest="d_range", type=_span, required=True,
                    metavar="A..B", help="degree range, e.g. 2..6")
-    _add_run_options(p, top=False)
-
+    for p in sub.choices.values():
+        _add_run_options(p, top=False)
     return parser
 
 

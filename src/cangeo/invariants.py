@@ -8,11 +8,13 @@ acts as a self check rather than a tautology.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .classify import (BlowupPair, DeformationClass, TriState, _checked, deformation_class,
                        smooth_cover_exists)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @_checked
@@ -32,6 +34,7 @@ class SurfaceInvariants(NamedTuple):
     @property
     def slope(self) -> Fraction:
         """The ratio c1^2 / c2 as an exact rational."""
+        from fractions import Fraction
         return Fraction(self.c1sq, self.c2)
 
 

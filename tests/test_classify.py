@@ -15,6 +15,7 @@ from cangeo.classify import (
     BlowupPair,
     DeformationClass,
     TriState,
+    _ratio_text,
     alpha_surjective,
     classify,
     deformation_class,
@@ -421,3 +422,13 @@ def test_zone_rule_strings_are_distinct_and_nonempty():
     assert seen[(2, 2)] == "not very ample"
     assert seen[(2, 1)] != seen[(3, 4)] != seen[(7, 3)]
     assert "21" in seen[(7, 3)]
+
+
+def test_ratio_text_is_the_text_of_the_fraction():
+    # slope cells and the rigid-zone rule text are written without Fraction
+    for num in range(-60, 61):
+        for den in range(-15, 16):
+            if den:
+                assert _ratio_text(num, den) == str(Fraction(num, den)), (num, den)
+    with pytest.raises(ZeroDivisionError):
+        _ratio_text(3, 0)

@@ -456,7 +456,10 @@ def test_xi_m4_points():
 def test_xi_empty_line_emits_empty_array():
     proc = run_cli("xi", "--m", "17", "--dmax", "100", "--format", "json")
     assert proc.returncode == 0
-    assert json.loads(proc.stdout) == []
+    assert proc.stdout == b"[]\n"
+    proc = run_cli("xi", "--m", "17", "--dmax", "100", "--format", "csv")
+    assert proc.returncode == 0
+    assert proc.stdout == ",".join(cli.XI_COLUMNS).encode() + b"\r\n"
 
 
 def test_xi_unwitnessed_goes_to_stderr_only():
@@ -653,7 +656,7 @@ def _json_rows(n):
 @pytest.mark.parametrize("n", [0, 1, cli.CHUNK_ROWS - 1, cli.CHUNK_ROWS,
                                cli.CHUNK_ROWS + 1, 2 * cli.CHUNK_ROWS + 5])
 def test_chunked_json_equals_one_dump_of_the_list(n):
-    # each row a run of its own; nested rows keep the pure-Python encoder
+    # each row a run of its own, its nested dict a constant group
     rows = _json_rows(n)
     out = io.StringIO()
     cli._write_json_array(out, cli.Rows.of(rows))
@@ -669,7 +672,7 @@ def _flat_json_rows(n):
 @pytest.mark.parametrize("n", [1, cli.CHUNK_ROWS + 1])
 def test_flat_json_rows_equal_one_dump_of_the_list(n):
     # flat rows take a line template of the C encoder's text; mixed with
-    # nested ones, which do not
+    # rows whose nested dict is a constant group
     for rows in (_flat_json_rows(n),
                  [row for pair in zip(_flat_json_rows(n), _json_rows(n))
                   for row in pair]):
@@ -781,6 +784,58 @@ def test_csv_and_table_templates_write_what_the_reference_writes(capsys):
         assert capsys.readouterr().out == want, fmt
 
 
+def _grouped_run():
+    """A run across a chunk boundary with a nested group of int columns,
+    whose entries are negative, cross digit boundaries and are widest
+    inside the run, beside a constant group holding text to escape."""
+    n = cli.CHUNK_ROWS + 30
+    return cli._Run(n, {"m": 5, "certified": True,
+                        "w": {"y": 'a,"%d"', "z": None}}, {
+        "d": range(-3, n - 3),
+        "scroll_witness": {
+            "r": [k * k - 50 for k in range(n)],
+            "l": list(range(95, 95 - 7 * n, -7)),
+            "a": [1] * n,
+            "b": [(-1) ** k * 10 ** (k % 4) for k in range(n)],
+            "c": range(0, 3 * n, 3)}})
+
+
+_GROUPED_COLUMNS = ["m", "d", "certified", "w_y", "w_z",
+                    *(f"scroll_witness_{key}" for key in "rlabc")]
+
+
+def test_a_nested_group_of_int_columns_writes_its_rows(capsys):
+    run = _grouped_run()
+    witness = run.vary["scroll_witness"]
+    rows = [{**run.const, "d": run.vary["d"][k],
+             "scroll_witness": {key: col[k] for key, col in witness.items()}}
+            for k in range(run.n)]
+    out = io.StringIO()
+    cli._write_json_array(out, cli.Rows(run.n, lambda: [run]))
+    assert out.getvalue() == json.dumps(rows, indent=2, sort_keys=True,
+                                        default=str)
+    flat = [[cli._plain(record.get(c)) for c in _GROUPED_COLUMNS]
+            for record in map(cli._flatten, rows)]
+    cli.emit(cli.Rows(run.n, lambda: [run]), _GROUPED_COLUMNS, "csv")
+    header, *lines = csv.reader(io.StringIO(capsys.readouterr().out,
+                                            newline=""))
+    assert header == _GROUPED_COLUMNS and lines == flat
+    cli.emit(cli.Rows(run.n, lambda: [run]), _GROUPED_COLUMNS, "table")
+    head, *table = capsys.readouterr().out.splitlines()
+    starts = [0, *(head.index("  " + c) + 2 for c in _GROUPED_COLUMNS[1:])]
+    assert [[line[a:b].strip() for a, b in zip(starts, [*starts[1:], None])]
+            for line in table] == flat
+
+
+def test_a_single_json_object_equals_one_dump_of_its_row(capsys):
+    # classify and oracle write one object, from the same template as a row
+    row = {"rule": 'a %d %s %% 100%, "q"\t\u00e9', "mu": None, "ok": True,
+           "slope": Fraction(-1, 3), "w": {"r": 6, "l": None}, "none": {}}
+    cli.emit(cli.Rows.of([row]), list(row), "json", single=True)
+    assert capsys.readouterr().out == json.dumps(
+        row, indent=2, sort_keys=True, default=str) + "\n"
+
+
 @pytest.mark.parametrize("vary", [
     {"flag": [True, False, True]},
     {"flag": [1, True, 3]},
@@ -797,7 +852,8 @@ def test_a_template_slot_refuses_a_bool_or_a_derived_none(capsys, vary, fmt):
 
 # sha256 of the stdout of invocations that no stored benchmark hash
 # covers, recorded from the csv.writer and per-cell table renderers that
-# the line templates replaced
+# the line templates replaced; the xi json and table-format pins from the
+# per-row renderers that xi's one run of columns replaced
 _GOLDEN = {
     "table --d 2..12 --s 1..80":
         "e87c350b19ac4a65abdcf0d24dd3393e05036ac1cd692ee73fc82bacc01c0505",
@@ -809,6 +865,13 @@ _GOLDEN = {
         "679ada4761965f95bf94e4a11f50b16fe05ff44b0402c337cd0f49460ebdb8dd",
     "xi --m 5 --dmax 300 --format csv":
         "3aefcbbf9421f57a44fd90902b81426fa0241a08ccc56554c22a7d5a72665fad",
+    "xi --m 5 --dmax 300 --format json":
+        "6ce71359f8c112d4e3b05bacf24610120319dc7bd8cc75a8d8d2660be2b9660d",
+    "xi --m 5 --dmax 300":
+        "746696f3580e484e52d8bba32e5e2ada24d28761168e16b72484f11b13bf333e",
+    # outside the certified window: certified=false, notes on stderr
+    "xi --m 20 --dmax 60 --format json":
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
 }
 
 
@@ -1090,18 +1153,21 @@ def numpy_imports():
      {"cangeo.fatpoints", "numpy"},
      {"cangeo.atlas", "cangeo.scrolls", "cangeo.invariants", *NEVER_LOADED}),
     # csv cells are quoted by cli's own rule: the csv module is not loaded
+    # and no closed-form command loads fractions (or decimal)
     (["table", "--d", "2..9", "--s", "1..50", "--format", "csv"],
      {"cangeo.invariants"},
      {"cangeo.atlas", "cangeo.scrolls", "cangeo.fatpoints", "numpy", "csv",
-      "json", *NEVER_LOADED}),
+      "json", "fractions", "decimal", *NEVER_LOADED}),
     (["table", "--d", "2..9", "--s", "1..50"],
      {"cangeo.invariants"},
      {"cangeo.atlas", "cangeo.scrolls", "numpy", "csv", "json",
-      *NEVER_LOADED}),
+      "fractions", "decimal", *NEVER_LOADED}),
     (["xi", "--m", "5", "--dmax", "100"],
-     {"cangeo.atlas", "cangeo.scrolls"}, {"numpy", *NEVER_LOADED}),
+     {"cangeo.atlas", "cangeo.scrolls"},
+     {"numpy", "fractions", "decimal", *NEVER_LOADED}),
     (["geography", "--d", "2..9", "--format", "json"],
-     {"cangeo.atlas", "json"}, {"numpy", *NEVER_LOADED}),
+     {"cangeo.atlas", "json"},
+     {"numpy", "fractions", "decimal", *NEVER_LOADED}),
 ], ids=["oracle-h0", "oracle-alpha", "table-csv", "table", "xi",
         "geography-json"])
 def test_each_command_imports_only_the_layers_it_runs(argv, loaded,
