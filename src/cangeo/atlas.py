@@ -143,14 +143,12 @@ def two_component_points(m: int, d_max: int) -> Enumeration:
     certified by an explicit admissible scroll witness or reported in the
     unwitnessed list.  Deterministic; an empty result is meaningful.
     """
-    if m < 4:
-        raise ValueError("m must be at least 4")
+    # on_line(m, .), with the line read once; line_for_m checks m
+    num, den, intercept = line_for_m(m)
     if d_max < 2:
         raise ValueError("d_max must be at least 2")
     points: list[TwoComponentPoint] = []
     unwitnessed: list[UnwitnessedCandidate] = []
-    # on_line(m, .), with the line read once
-    num, den, intercept = line_for_m(m)
     for d in range(2, d_max + 1):
         s, rem = divmod(*_s_ratio(m, d))
         if rem or s < 1:

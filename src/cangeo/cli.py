@@ -45,9 +45,6 @@ EXIT_MISMATCH = 3
 
 MIN_PRIME = 10 ** 6
 
-# Fat-point values pinned by independent sources, keyed by (k, r, s).
-CURATED_H0 = {(12, 3, 14): 7, (16, 4, 14): 13}
-
 CLASSIFY_COLUMNS = ["d", "s", "very_ample", "smooth_cover", "alpha_surjective",
                     "ext1_nonzero", "deformation", "rule",
                     "p_g", "q", "chi", "c1sq", "c2", "slope", "mu", "mu2",
@@ -268,10 +265,6 @@ def _widths(rows: Rows, columns: list[str]) -> list[int]:
     their ends; only its other varying cells are rendered one by one."""
     widths = list(map(len, columns))
     for run in map(_Run.flat, rows):
-        if run.n == 1:
-            row = map(run.first().get, columns)
-            widths = list(map(max, widths, map(len, map(_plain, row))))
-            continue
         for i, key in enumerate(columns):
             kind, cells = (_slot(run, key) if key in run.vary
                            else ("s", (run.const.get(key),)))
@@ -313,8 +306,8 @@ def emit(rows: Rows, columns: list[str], fmt: str, single: bool = False) -> None
         if fmt == "json":
             out.write(_object(_Run(1, record), "\n  ")[0] % () + "\n")
             return
-        flat, width = _flatten(record), max(map(len, columns))
-        out.write("".join(f"{c:<{width}}  {_plain(flat.get(c))}".rstrip()
+        width = max(map(len, columns))
+        out.write("".join(f"{c:<{width}}  {_plain(record.get(c))}".rstrip()
                           + "\n" for c in columns))
         return
     if fmt == "json":
@@ -412,19 +405,16 @@ def _point_record(d: int, s: int) -> dict:
     }
 
 
-def expected_h0(k: int, r: int, s: int) -> int | None:
-    """Closed-form prediction where one is known; None otherwise."""
-    from . import fatpoints
-
-    if (k, r, s) in CURATED_H0:
-        return CURATED_H0[(k, r, s)]
-    if r == 1:
-        return max(fatpoints.FatPointSystem(k, 1, s).ambient_dim - s, 0)
-    if r == 4 and k >= 10 and k % 2 == 0:
-        pair = BlowupPair((k - 6) // 2, s)
-        if smooth_cover_exists(pair) is TriState.YES:
-            from .invariants import h0_normal_of_cover
-            return h0_normal_of_cover(pair) + 1
+def h0_prediction(system) -> int | None:
+    """`system.expected_h0` where it is known to be h0: r = 1, the reference
+    system (12, 3, 14), and the branch system (2d+6, 4, s) of each cover
+    (d, s) that exists, where h0 is `invariants.h0_normal_of_cover` + 1;
+    None elsewhere."""
+    k, r, s = system
+    if r == 1 or system == (12, 3, 14) or (
+            r == 4 and k >= 10 and k % 2 == 0 and smooth_cover_exists(
+                BlowupPair(k // 2 - 3, s)) is TriState.YES):
+        return system.expected_h0
     return None
 
 
@@ -437,7 +427,7 @@ def measurement_record(which: str, k: int, r: int, s: int,
     system = fatpoints.FatPointSystem(k, r, s)
     measured = fatpoints.h0_fatpoints(
         system, trials=config.trials, seed=config.seed, p=config.prime)
-    expected = expected_h0(k, r, s)
+    expected = h0_prediction(system)
     virtual = system.expected_h0
     if which == "h1":
         chi = system.ambient_dim - system.conditions
@@ -476,13 +466,12 @@ class Rows:
     rows are rendered from them on each pass, so that no pass holds them all.
     """
 
-    def __init__(self, count: int, *parts, mismatch: bool = False):
-        self._count = count
+    def __init__(self, *parts, mismatch: bool = False):
         self._parts = parts
         self.mismatch = mismatch
 
     def __len__(self) -> int:
-        return self._count
+        return sum(run.n for run in self)
 
     def parts(self):
         """Each part's runs, in order; a part is called when it is reached."""
@@ -496,7 +485,7 @@ class Rows:
         """Rows already built, a run of one row each; MISMATCH in a `flag`
         column is noted."""
         runs = [_Run(1, row) for row in rows]
-        return cls(len(rows), lambda: runs,
+        return cls(lambda: runs,
                    mismatch=any(row.get("flag") == "MISMATCH" for row in rows))
 
 
@@ -556,9 +545,8 @@ def _classification_rows(d_values, s_values: range, config: RunConfig,
             return classification_record(BlowupPair(d, s))
         planned.append([_stepped_run(record_at, run, derived)
                         for run in s_runs(d, s_values)])
-    count = len(d_values) * len(s_values)
     if not with_oracle:
-        return Rows(count, lambda: chain.from_iterable(planned)), CLASSIFY_COLUMNS
+        return Rows(lambda: chain.from_iterable(planned)), CLASSIFY_COLUMNS
     from .fatpoints import _alpha_floors
     for d in d_values:
         _alpha_floors(d, s_values, config.trials)
@@ -577,8 +565,8 @@ def _classification_rows(d_values, s_values: range, config: RunConfig,
         return d_runs
 
     # each column measured once, however many passes read it
-    rows = Rows(count, *(cache(partial(measured, *column))
-                         for column in zip(d_values, planned)))
+    rows = Rows(*(cache(partial(measured, *column))
+                  for column in zip(d_values, planned)))
     return rows, CLASSIFY_ORACLE_COLUMNS
 
 
@@ -623,7 +611,7 @@ def cmd_xi(args, config: RunConfig) -> tuple[Rows, list[str]]:
         "x_prime": list(x_prime), "y": list(y), "d": list(d), "s": list(s),
         "scroll_witness": dict(zip(ScrollWitness._fields,
                                    map(list, zip(*witness))))})
-    return Rows(run.n, lambda: [run] if run.n else []), XI_COLUMNS
+    return Rows(lambda: [run] if run.n else []), XI_COLUMNS
 
 
 def cmd_geography(args, config: RunConfig) -> tuple[Rows, list[str]]:
@@ -636,8 +624,7 @@ def cmd_geography(args, config: RunConfig) -> tuple[Rows, list[str]]:
     for d in args.d_range:
         points.extend(_stepped_run(partial(_point_record, d), run, {})
                       for run in s_runs(d, range(1, zones(d).cover_yes_max + 1)))
-    return (Rows(len(lines) + sum(run.n for run in points),
-                 lambda: chain(lines, points)), GEOGRAPHY_COLUMNS)
+    return Rows(lambda: chain(lines, points)), GEOGRAPHY_COLUMNS
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ from fractions import Fraction
 import pytest
 
 from cangeo import cli
+from cangeo.classify import BlowupPair, zones
 from cangeo.defaults import MAX_TRIALS
+from cangeo.fatpoints import FatPointSystem
+from cangeo.invariants import h0_normal_of_cover
 
 RUN = [sys.executable, "-m", "cangeo"]
 
@@ -220,11 +223,34 @@ def test_oracle_special_system_reports_defect(capsys):
 
 def test_oracle_mismatch_exits_3(capsys, monkeypatch):
     # force a wrong prediction to exercise the failure path end to end
-    monkeypatch.setitem(cli.CURATED_H0, (2, 2, 2), 0)
+    monkeypatch.setattr(cli, "h0_prediction", lambda system: 0)
     code, out, _ = run_main(capsys, "oracle", "h0", "--k", "2", "--r", "2",
                             "--s", "2", "--format", "json")
     assert code == 3
     assert json.loads(out)["flag"] == "MISMATCH"
+
+
+def test_h0_prediction_is_the_virtual_dimension_where_one_is_known():
+    # the branch system (2d+6, 4, s) of each cover that exists, and no other
+    # s of that degree: the link between `invariants` and the oracle's flag
+    for d in range(2, 61):
+        for s in range(1, zones(d).cover_no_min + 2):
+            got = cli.h0_prediction(FatPointSystem(2 * d + 6, 4, s))
+            if s <= zones(d).cover_yes_max:
+                assert got == h0_normal_of_cover(BlowupPair(d, s)) + 1, (d, s)
+            else:
+                assert got is None, (d, s)
+    for k in range(40):
+        for s in range(1, 900):
+            assert cli.h0_prediction(FatPointSystem(k, 1, s)) == max(
+                0, (k + 1) * (k + 2) // 2 - s), (k, s)
+    assert cli.h0_prediction(FatPointSystem(12, 3, 14)) == 7
+    assert cli.h0_prediction(FatPointSystem(16, 4, 14)) == 13
+    # no prediction: special or unproved systems, (16, 4, 15) whose cover
+    # (5, 15) is not known to exist, and an odd degree beside (22, 4, 25)
+    for krs in [(4, 2, 5), (26, 5, 16), (30, 5, 22), (40, 5, 30),
+                (16, 4, 15), (23, 4, 25), (12, 3, 13), (8, 4, 1)]:
+        assert cli.h0_prediction(FatPointSystem(*krs)) is None, krs
 
 
 def test_oracle_missing_params_exit_2():
@@ -417,7 +443,7 @@ def test_module_entry_exit_codes():
 def test_run_exits_3_on_a_mismatch():
     code = """
 from cangeo import cli
-cli.CURATED_H0[(2, 2, 2)] = 0
+cli.h0_prediction = lambda system: 0
 cli.run()
 """
     proc = run_code(code, "oracle", "h0", "--k", "2", "--r", "2", "--s", "2",
@@ -690,11 +716,11 @@ def test_table_format_takes_two_passes_over_a_plan(capsys):
         passes.append(1)
         return iter(cli.Rows.of(_json_rows(3)))
 
-    rows = cli.Rows(3, build)
-    assert len(rows) == 3
+    rows = cli.Rows(build)
     cli.emit(rows, ["d", "slope", "certified", "scroll_witness_a"], "table")
     out = capsys.readouterr().out
     assert len(passes) == 2
+    assert len(rows) == 3
     assert out.splitlines()[1].split() == ["0", "0", "true", "1"]
 
 
@@ -780,7 +806,7 @@ def test_csv_and_table_templates_write_what_the_reference_writes(capsys):
     table = "".join("  ".join(v.ljust(w) for v, w in zip(line, widths))
                     .rstrip() + "\n" for line in [_TEMPLATE_COLUMNS, *cells])
     for fmt, want in (("csv", buf.getvalue()), ("table", table)):
-        cli.emit(cli.Rows(len(cells), lambda: runs), _TEMPLATE_COLUMNS, fmt)
+        cli.emit(cli.Rows(lambda: runs), _TEMPLATE_COLUMNS, fmt)
         assert capsys.readouterr().out == want, fmt
 
 
@@ -811,16 +837,16 @@ def test_a_nested_group_of_int_columns_writes_its_rows(capsys):
              "scroll_witness": {key: col[k] for key, col in witness.items()}}
             for k in range(run.n)]
     out = io.StringIO()
-    cli._write_json_array(out, cli.Rows(run.n, lambda: [run]))
+    cli._write_json_array(out, cli.Rows(lambda: [run]))
     assert out.getvalue() == json.dumps(rows, indent=2, sort_keys=True,
                                         default=str)
     flat = [[cli._plain(record.get(c)) for c in _GROUPED_COLUMNS]
             for record in map(cli._flatten, rows)]
-    cli.emit(cli.Rows(run.n, lambda: [run]), _GROUPED_COLUMNS, "csv")
+    cli.emit(cli.Rows(lambda: [run]), _GROUPED_COLUMNS, "csv")
     header, *lines = csv.reader(io.StringIO(capsys.readouterr().out,
                                             newline=""))
     assert header == _GROUPED_COLUMNS and lines == flat
-    cli.emit(cli.Rows(run.n, lambda: [run]), _GROUPED_COLUMNS, "table")
+    cli.emit(cli.Rows(lambda: [run]), _GROUPED_COLUMNS, "table")
     head, *table = capsys.readouterr().out.splitlines()
     starts = [0, *(head.index("  " + c) + 2 for c in _GROUPED_COLUMNS[1:])]
     assert [[line[a:b].strip() for a, b in zip(starts, [*starts[1:], None])]
@@ -846,7 +872,7 @@ def test_a_template_slot_refuses_a_bool_or_a_derived_none(capsys, vary, fmt):
     # `%d` would write a bool as 1 and `%s` a None as "None"
     run = cli._Run(3, {"kind": "x"}, {"i": range(3), **vary})
     with pytest.raises(AssertionError):
-        cli.emit(cli.Rows(3, lambda: [run]), ["kind", "i", *vary], fmt)
+        cli.emit(cli.Rows(lambda: [run]), ["kind", "i", *vary], fmt)
     capsys.readouterr()
 
 
@@ -1149,6 +1175,11 @@ def numpy_imports():
     (["oracle", "h0", "--k", "12", "--r", "3", "--s", "14"],
      {"cangeo.fatpoints", "numpy"},
      {"cangeo.atlas", "cangeo.scrolls", "cangeo.invariants", *NEVER_LOADED}),
+    # a prediction of the r = 4 cover family is arithmetic on the system:
+    # invariants is not loaded
+    (["oracle", "h0", "--k", "22", "--r", "4", "--s", "25"],
+     {"cangeo.fatpoints", "numpy"},
+     {"cangeo.atlas", "cangeo.scrolls", "cangeo.invariants", *NEVER_LOADED}),
     (["oracle", "alpha", "--d", "5", "--s", "12"],
      {"cangeo.fatpoints", "numpy"},
      {"cangeo.atlas", "cangeo.scrolls", "cangeo.invariants", *NEVER_LOADED}),
@@ -1168,8 +1199,8 @@ def numpy_imports():
     (["geography", "--d", "2..9", "--format", "json"],
      {"cangeo.atlas", "json"},
      {"numpy", "fractions", "decimal", *NEVER_LOADED}),
-], ids=["oracle-h0", "oracle-alpha", "table-csv", "table", "xi",
-        "geography-json"])
+], ids=["oracle-h0", "oracle-h0-cover", "oracle-alpha", "table-csv", "table",
+        "xi", "geography-json"])
 def test_each_command_imports_only_the_layers_it_runs(argv, loaded,
                                                       not_loaded,
                                                       numpy_imports):

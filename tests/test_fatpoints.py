@@ -414,6 +414,33 @@ def test_matrix_size_cap():
     assert widest.conditions * widest.ambient_dim < MAX_MATRIX_ENTRIES
 
 
+def _caps_accept(k: int, r: int, s: int) -> bool:
+    """h0_fatpoints' size and work caps, as arithmetic on the constants."""
+    rows, cols = s * r * (r + 1) // 2, (k + 1) * (k + 2) // 2
+    return (rows * cols <= MAX_MATRIX_ENTRIES
+            and rows * cols * min(rows, cols) <= MAX_ELIMINATION_WORK)
+
+
+def test_the_caps_accept_no_multiplicity_above_37_with_k_at_least_r():
+    # With s >= 10 and k >= r both cap products grow with k and s, so
+    # (r, r, 10) is the smallest system of each r: the caps accept some
+    # system of multiplicity r (with k >= r, s >= 10) iff they accept it.
+    # The largest such r is 37, so an accepted system with s >= 10 has
+    # k < r or r <= 42, the range in which the homogeneous SHGH bound holds.
+    accepted = [r for r in range(1, 200) if _caps_accept(r, r, 10)]
+    assert accepted == list(range(1, 38))
+    assert max(r for r in range(1, 60) for k in range(r, r + 60)
+               for s in range(10, 40) if _caps_accept(k, r, s)) == 37
+    # the arithmetic is the caps h0_fatpoints checks before its draw, which
+    # accept r > 42 only with k < r
+    for system in (FatPointSystem(37, 37, 10), FatPointSystem(5, 100, 10)):
+        assert _caps_accept(*system)
+        fatpoints._check_size(system.conditions, system.ambient_dim)
+        fatpoints._check_work(system.conditions, system.ambient_dim)
+    with pytest.raises(OracleLimitError):
+        h0_fatpoints(FatPointSystem(38, 38, 10))
+
+
 def test_elimination_work_cap():
     # 4000 x 4095 is under the entry cap but would take minutes to eliminate
     system = FatPointSystem(89, 1, 4000)

@@ -218,8 +218,7 @@ def test_a_run_across_chunks_with_negative_steps_and_awkward_text(capsys):
     assert {"chi", "c1sq", "slope", "s"} == set(run.vary)
     nested = {**_synthetic(7), "witness": {"r": 6, "l": -1}, "note": "x%"}
     want = [_synthetic(s) for s in stepped] + [nested] + [_synthetic(1)]
-    rows = cli.Rows(len(want),
-                    lambda: [run, cli._Run(1, nested), cli._Run(1, want[-1])])
+    rows = cli.Rows(lambda: [run, cli._Run(1, nested), cli._Run(1, want[-1])])
     _assert_emits(capsys, rows, SYNTHETIC_COLUMNS, want)
 
 
