@@ -94,7 +94,7 @@ class _Run:
     `const` maps a key to the value of every row; `vary` maps a key to its
     n values, as a `range` (a stepped int), a list, or a pair `(fn, keys)`
     for a column whose cells are fn of the cells of the columns `keys`.
-    A varying column holds an int, a str, a Fraction or None, never a bool.
+    A varying column holds an int, a str or None, never a bool.
     A dict in either is a nested group, its sub-keys mapped the same way:
     an object in json, the columns `key_sub` in csv and the table format.
     A record that is not stepped is a run of one row.
@@ -194,9 +194,7 @@ def _flat_row():
     own line; _object adds the braces' lines.  Built on first json use,
     so that csv and table output never import json."""
     import json
-    # default=str writes a Fraction as "1/9"
-    return json.JSONEncoder(sort_keys=True, separators=(_ITEM, ": "),
-                            default=str)
+    return json.JSONEncoder(sort_keys=True, separators=(_ITEM, ": "))
 
 
 def _chunks(items):

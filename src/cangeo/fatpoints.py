@@ -407,28 +407,40 @@ def vanishing_matrix(cfg: PointConfiguration, system: FatPointSystem,
     return A.reshape(system.conditions, system.ambient_dim)
 
 
+def _extremal(trial, floor, trials: int, key=None) -> list:
+    """Each entry's least reading under `key` (the earliest on a tie) in
+    trial(t), t < `trials`; no configuration reads past an entry's floor,
+    so the loop ends once every entry sits on its floor."""
+    best = None
+    for t in range(trials):
+        column = trial(t)
+        best = column if best is None else [
+            min(kept, new, key=key) for kept, new in zip(best, column)]
+        if best == floor:
+            break
+    return best
+
+
 def h0_fatpoints(system: FatPointSystem, trials: int = DEFAULT_TRIALS,
                  seed: int = DEFAULT_SEED, p: int = DEFAULT_PRIME) -> int:
     """Generic number of independent curves in the system.
 
-    Minimum of (ambient dimension - rank) over at most `trials` trials: a
+    Minimum of (ambient dimension - rank) over the trials (_extremal): a
     special configuration can only enlarge the kernel, never shrink it,
     so the minimum is the generic value unless every trial was unlucky.
-    No rank exceeds min(rows, cols), so no trial reads below
-    system.expected_h0; a trial that reads it ends the loop, since no
-    later one could change the minimum.
+    No rank exceeds min(rows, cols), so system.expected_h0 is the floor.
     """
     _check_trials(trials)
     _check_size(system.conditions, system.ambient_dim)   # before the draw
     _check_work(system.conditions, system.ambient_dim)
-    best = None
-    for t in range(trials):
+
+    def trial(t):
         cfg = PointConfiguration.random(system.point_count, seed, p, trial=t)
-        h0 = system.ambient_dim - rank_mod_p(vanishing_matrix(cfg, system, p), p)
-        best = h0 if best is None else min(best, h0)
-        if best == system.expected_h0:
-            break
-    return best
+        return [system.ambient_dim
+                - rank_mod_p(vanishing_matrix(cfg, system, p), p)]
+
+    [h0] = _extremal(trial, [system.expected_h0], trials)
+    return h0
 
 
 def _prefix_ranks(matrix: np.ndarray, counts, p: int) -> np.ndarray:
@@ -457,8 +469,6 @@ def _alpha_at(mat_low: np.ndarray, s: int, maps, n_high: int,
               p: int) -> tuple[int, int]:
     """(rank, dim_source) at the first s points, eliminated for s alone."""
     kernel = kernel_basis_mod_p(mat_low[:s], p)
-    if kernel.shape[0] == 0:
-        return 0, 0
     prod = _product_matrix(kernel, maps, n_high)
     return rank_mod_p(prod, p), prod.shape[0]
 
@@ -504,7 +514,8 @@ def _alpha_trial(d: int, cfg: PointConfiguration, s_values,
     """(rank, dim_source, dim_target) at the first s points of cfg, for
     each s in s_values.
 
-    Both vanishing matrices are built once, for all of cfg's points.  Rows
+    The degree-d vanishing matrix is built once, for all of cfg's points;
+    at z = 1 its columns of z-multiples are the degree-(d-1) matrix.  Rows
     are point by point, so the first s rows are the matrix of the first s
     points.  The V_{d-1} kernels come from one flag basis (_kernel_flag),
     so the product matrix of the smallest s holds the one of every s in
@@ -514,7 +525,6 @@ def _alpha_trial(d: int, cfg: PointConfiguration, s_values,
     with nothing cut the flag is the kernel at that s itself.
     """
     s_max = len(cfg.points)
-    mat_low = vanishing_matrix(cfg, FatPointSystem(d - 1, 1, s_max), p)
     mat_high = vanishing_matrix(cfg, FatPointSystem(d, 1, s_max), p)
     n_high = mat_high.shape[1]
     dims_target = (n_high - _prefix_ranks(mat_high, s_values, p)).tolist()
@@ -523,6 +533,7 @@ def _alpha_trial(d: int, cfg: PointConfiguration, s_values,
     maps = [np.array([high_index[(i + si, j + sj, l + sl)]
                       for (i, j, l) in monomial_basis(d - 1)])
             for (si, sj, sl) in shifts]
+    mat_low = mat_high[:, maps[2]]
     flag, left = _kernel_flag(mat_low, min(s_values), p)
     sources = 3 * (flag.shape[0]
                    - np.searchsorted(left, s_values, side="right"))
@@ -589,22 +600,13 @@ def alpha_rank(d: int, s_values, trials: int = DEFAULT_TRIALS,
     (dim_source, dim_target), and among those the largest rank (the
     earliest trial on a tie); its three numbers are mutually consistent.
 
-    At most `trials` trials run.  A simple point imposes at most one
-    condition, so with N_k = (k+1)(k+2)/2 monomials of degree k no trial
-    reads dim_source below 3 * max(0, N_{d-1} - s) or dim_target below
-    max(0, N_d - s), nor a rank above the smaller of the two: that
-    triple is the floor of the entry.  Once every entry sits on its
-    floor no later trial could replace one, and the loop ends.
+    A simple point imposes at most one condition, so with N_k =
+    (k+1)(k+2)/2 no trial reads dim_source below 3 * max(0, N_{d-1} - s)
+    or dim_target below max(0, N_d - s), nor a rank above the smaller of
+    the two: that triple is the entry's floor in _extremal.
     """
     s_values = list(s_values)
     floor = _alpha_floors(d, s_values, trials)
-    best = None
-    for t in range(trials):
-        column = _alpha_trial(d, PointConfiguration.random(
-            max(s_values), seed, p, trial=t), s_values, p)
-        best = column if best is None else [
-            min(kept, new, key=_most_generic)
-            for kept, new in zip(best, column)]
-        if best == floor:
-            break
-    return best
+    return _extremal(lambda t: _alpha_trial(d, PointConfiguration.random(
+        max(s_values), seed, p, trial=t), s_values, p), floor, trials,
+        key=_most_generic)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cangeo import fatpoints
+from cangeo.classify import BlowupPair, TriState, alpha_surjective, zones
 from cangeo.fatpoints import (
     DEFAULT_PRIME,
     MAX_ELIMINATION_WORK,
@@ -25,6 +26,7 @@ from cangeo.fatpoints import (
     OracleLimitError,
     PointConfiguration,
     alpha_rank,
+    _alpha_floors,
     _alpha_trial,
     _block_rref,
     _most_generic,
@@ -665,6 +667,43 @@ def test_trial_rule_keeps_the_generic_configuration():
     # the special trial has the larger rank and must still lose
     assert min([special, usual], key=_most_generic) == usual
     assert min([usual, special], key=_most_generic) == usual
+
+
+def test_the_alpha_zones_are_the_floor_rule():
+    # The floor (min(src, tgt), src, tgt), src = 3 * max(0, N_{d-1} - s)
+    # and tgt = max(0, N_d - s), is onto iff s >= N_d or 3 * N_{d-1} - N_d
+    # = d^2 - 1 >= 2s.  So it is not onto exactly on (d^2+1)//2 <= s < N_d,
+    # and the zones' alpha thresholds are that arithmetic.
+    for d in range(2, 100001):
+        z = zones(d)
+        assert z.alpha_no_min == (d * d + 1) // 2, d
+        assert z.alpha_yes_min == (d + 1) * (d + 2) // 2, d
+        assert z.alpha_yes_max <= (d * d - 1) // 2, d
+    gap = 0
+    for d in range(2, 41):
+        s_values = range(1, (d + 1) * (d + 2) // 2 + 3)
+        for s, (rank, _, target) in zip(s_values,
+                                        _alpha_floors(d, s_values, 1)):
+            verdict = alpha_surjective(BlowupPair(d, s))
+            if verdict is TriState.UNKNOWN:
+                gap += 1
+                assert rank == target, (d, s)
+            else:
+                assert (verdict is TriState.YES) == (rank == target), (d, s)
+    assert gap == 342
+
+
+def test_an_alpha_trial_builds_one_vanishing_matrix(monkeypatch):
+    # the degree-(d-1) matrix is read off the degree-d one
+    built = []
+
+    def counted(cfg, system, p=P):
+        built.append(system)
+        return vanishing_matrix(cfg, system, p)
+
+    monkeypatch.setattr(fatpoints, "vanishing_matrix", counted)
+    _alpha_trial(6, PointConfiguration.random(30, 0xC0FFEE), range(1, 31), P)
+    assert built == [FatPointSystem(6, 1, 30)]
 
 
 def test_a_reading_above_the_floor_does_not_stop_the_trials(monkeypatch):

@@ -21,7 +21,8 @@ import pytest
 
 from cangeo import cli
 from cangeo.atlas import geography_lines
-from cangeo.classify import DEGREE1_PAIRS, OPEN_PAIRS, BlowupPair, classify, s_runs, zones
+from cangeo.classify import (DEGREE1_PAIRS, OPEN_PAIRS, BlowupPair, _ratio_text,
+                             classify, s_runs, zones)
 from cangeo.invariants import cover_invariants
 
 CONFIG = cli.RunConfig(seed=cli.DEFAULT_SEED, trials=2, prime=cli.DEFAULT_PRIME)
@@ -69,7 +70,7 @@ def _flat(row: dict) -> dict:
 def _reference(rows: list[dict], columns: list[str], fmt: str) -> str:
     """The rows as one list, rendered without cangeo."""
     if fmt == "json":
-        return json.dumps(rows, indent=2, sort_keys=True, default=str) + "\n"
+        return json.dumps(rows, indent=2, sort_keys=True) + "\n"
     cells = [[_text(row.get(c)) for c in columns] for row in map(_flat, rows)]
     if fmt == "csv":
         buf = io.StringIO()
@@ -201,7 +202,7 @@ AWKWARD = 'a %d %s %% 100%, "q"\té'
 def _synthetic(s: int) -> dict:
     chi = 1000 - 3 * s   # falls along the run, through 0 to negative
     c1sq = 2 * s - 7
-    return {"s": s, "chi": chi, "c1sq": c1sq, "slope": Fraction(c1sq, chi),
+    return {"s": s, "chi": chi, "c1sq": c1sq, "slope": str(Fraction(c1sq, chi)),
             "note": AWKWARD, "flag": None, "ok": True,
             "witness": None, "kind": "point"}
 
@@ -213,7 +214,7 @@ SYNTHETIC_COLUMNS = ["kind", "s", "chi", "c1sq", "slope", "note", "flag", "ok",
 def test_a_run_across_chunks_with_negative_steps_and_awkward_text(capsys):
     stepped = range(1, 2 * cli.CHUNK_ROWS + 10)
     run = cli._stepped_run(_synthetic, stepped,
-                           {"slope": (Fraction, ("c1sq", "chi"))})
+                           {"slope": (_ratio_text, ("c1sq", "chi"))})
     assert run.n == len(stepped) and run.vary["chi"].step == -3
     assert {"chi", "c1sq", "slope", "s"} == set(run.vary)
     nested = {**_synthetic(7), "witness": {"r": 6, "l": -1}, "note": "x%"}
