@@ -753,12 +753,29 @@ def main(argv=None) -> int:
 def run():
     """Process entry point: main() on sys.argv, then end the process.
 
+    Before main() runs, and so before any command loads numpy, the
+    process's OpenBLAS is told to let its idle worker thread sleep after
+    2^16 spin cycles instead of its own 2^28, unless the caller has set
+    OPENBLAS_THREAD_TIMEOUT already.  The thread count stays OpenBLAS's,
+    and every reading is exact whatever the threading.  main(argv) and
+    the package's imports leave the environment alone, for callers in
+    the same process.
+
     Once stdout and stderr are flushed nothing is left to do, so the
     process ends with os._exit and skips the interpreter's teardown (the
     final collection, module cleanup and the BLAS library's shutdown),
     none of which the output needs.  SystemExit (bad input, exit 2) and an
     uncaught exception take the normal exit path.
     """
+    # At 2^28 cycles (about 0.1 s) the idle worker spins on the second core
+    # after numpy loads and after every product: a third of an oracle
+    # process's CPU time.  On a 2-core guest, 2^8..2^16 tied for the least
+    # CPU with wall time no worse than at 2^28, also on the 1500x1653
+    # systems whose products keep both threads; from 2^20 up the spin
+    # between panel products cost CPU again, and at 2^4 the h0 ladder's
+    # wall time rose.  2^16 (about 26 us at 2.5 GHz) is the longest of the
+    # tied values, the nearest to OpenBLAS's own policy.
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "16")
     status = main()
     sys.stdout.flush()
     sys.stderr.flush()

@@ -426,10 +426,81 @@ def test_module_entry_writes_what_main_writes(capsys, monkeypatch, argv):
         assert "note:" in err
 
 
-def run_code(code, *argv):
-    """`python -c code argv...`, in the environment of run_cli."""
+def run_code(code, *argv, env=None):
+    """`python -c code argv...`, in the environment of run_cli by default."""
     return subprocess.run([sys.executable, "-c", code, *argv],
-                          capture_output=True, env=_child_env())
+                          capture_output=True,
+                          env=_child_env() if env is None else env)
+
+
+def _blas_env(**values):
+    """The environment of run_cli with no OPENBLAS_* variable but `values`."""
+    env = {key: value for key, value in _child_env().items()
+           if not key.startswith("OPENBLAS_")}
+    env.update(values)
+    return env
+
+
+_PROBE_RUN = """
+import os, sys
+from cangeo import cli
+def probe(argv=None):
+    print(os.environ.get("OPENBLAS_THREAD_TIMEOUT"),
+          os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules)
+    return 0
+cli.main = probe
+cli.run()
+"""
+
+
+def test_run_lets_the_blas_worker_sleep_before_numpy_loads():
+    proc = run_code(_PROBE_RUN, env=_blas_env())
+    assert proc.returncode == 0, proc.stderr
+    timeout, threads, numpy_loaded = proc.stdout.decode().split()
+    # shorter than OpenBLAS's own 2^28 spin, within its clamp of 4..30
+    assert 4 <= int(timeout) < 28
+    assert (threads, numpy_loaded) == ("None", "False")
+
+
+def test_run_keeps_the_callers_thread_timeout():
+    proc = run_code(_PROBE_RUN, env=_blas_env(OPENBLAS_THREAD_TIMEOUT="8"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().split() == ["8", "None", "False"]
+
+
+def test_imports_and_main_leave_the_environment_alone():
+    code = """
+import os
+before = dict(os.environ)
+import cangeo
+assert os.environ == before, "import cangeo"
+import cangeo.fatpoints
+assert os.environ == before, "import cangeo.fatpoints"
+from cangeo import cli
+assert cli.main(["oracle", "h0", "--k", "16", "--r", "4", "--s", "14",
+                 "--format", "csv"]) == 0
+assert os.environ == before, "cli.main"
+"""
+    proc = run_code(code, env=_blas_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(b"k,r,s,")
+
+
+def test_readings_do_not_depend_on_blas_threading():
+    # the 450-row block products of this rung are large enough for OpenBLAS
+    # to split them over threads; the float64 limb sums are exact in any
+    # summation order, so one thread, the old 2^28 spin and the entry
+    # point's own default write the same bytes
+    argv = ["oracle", "h0", "--k", "40", "--r", "5", "--s", "30",
+            "--format", "csv"]
+    outputs = set()
+    for values in ({"OPENBLAS_NUM_THREADS": "1"},
+                   {"OPENBLAS_THREAD_TIMEOUT": "28"}, {}):
+        proc = subprocess.run(RUN + argv, capture_output=True,
+                              env=_blas_env(**values))
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
 
 
 def test_module_entry_exit_codes():
