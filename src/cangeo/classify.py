@@ -31,6 +31,10 @@ class DeformationClass(Enum):
     birational onto its image.  DEGREE2_ALWAYS: every small deformation
     keeps a degree 2 canonical morphism.  OPEN_QUESTION: not settled.
     NOT_APPLICABLE: there is no smooth canonical double cover to deform.
+
+    The class is read off two verdicts: NOT_APPLICABLE unless the smooth
+    cover exists, and otherwise DEGREE1, OPEN_QUESTION or DEGREE2_ALWAYS
+    as the Ext group is nonzero, unknown or zero.
     """
 
     DEGREE1 = "degree1"
@@ -70,15 +74,9 @@ class BlowupPair(NamedTuple):
             raise ValueError("s must be at least 1")
 
 
-# The seven pairs whose covers deform to birational canonical morphisms,
-# and the two pairs where the question is open.
-DEGREE1_PAIRS = frozenset(
-    {(3, 5), (3, 6), (4, 8), (4, 9), (4, 10), (5, 13), (5, 14)})
-OPEN_PAIRS = frozenset({(5, 12), (6, 17)})
-
-
 class Zones(NamedTuple):
-    """Integer thresholds in s for one d.
+    """Integer thresholds in s for one d: every verdict, and through them
+    the deformation class, compares s against these fields alone.
 
     Each comment states the rational bound a field replaces for d >= 5;
     d = 2, 3, 4 come from a literal table.
@@ -90,13 +88,12 @@ class Zones(NamedTuple):
     alpha_yes_max: int  # alpha onto and Ext zero if s <= d^2/2 - d/2 + 1
     alpha_no_min: int   # alpha not onto and Ext nonzero if s > (d^2 - 1)/2 ...
     alpha_yes_min: int  # ... but alpha onto again if s >= d^2/2 + 3d/2 + 1
-    rigid_max: int      # rigid if s <= (d^2-d+2)/2 to d = 6, (2d^2+13d+21)/10 after
 
 
 _SMALL_D_ZONES = {
-    2: Zones(1, 1, 2, 1, 2, 6, 1),
-    3: Zones(6, 6, 7, 4, 5, 10, 4),
-    4: Zones(10, 10, 11, 7, 8, 15, 7),
+    2: Zones(1, 1, 2, 1, 2, 6),
+    3: Zones(6, 6, 7, 4, 5, 10),
+    4: Zones(10, 10, 11, 7, 8, 15),
 }
 
 
@@ -108,16 +105,13 @@ def zones(d: int) -> Zones:
     if d in _SMALL_D_ZONES:
         return _SMALL_D_ZONES[d]
     dd = d * d
-    sufficient = (2 * dd + 13 * d + 21) // 10
-    alpha_yes_max = (dd - d + 2) // 2
     return Zones(
         ample_max=(dd + 3 * d - 10) // 2,
-        cover_yes_max=14 if d == 5 else sufficient,
+        cover_yes_max=14 if d == 5 else (2 * dd + 13 * d + 21) // 10,
         cover_no_min=-(-(2 * dd + 15 * d + 28) // 10),   # ceiling
-        alpha_yes_max=alpha_yes_max,
+        alpha_yes_max=(dd - d + 2) // 2,
         alpha_no_min=(dd + 1) // 2,
         alpha_yes_min=(dd + 3 * d + 2) // 2,
-        rigid_max=alpha_yes_max if d <= 6 else sufficient,
     )
 
 
@@ -126,17 +120,14 @@ def s_runs(d: int, s_values: range) -> list[range]:
     d, every verdict below, the deformation class and the rule text stay
     the same, so that every invariant and moduli dimension is affine in s.
 
-    Every verdict compares s against one field t of zones(d) or against a
-    listed pair, so a run starts at t and t+1 for every field and at s and
-    s+1 for every listed pair (d, s).  The cuts know no zone: a surplus one
-    only splits a run in two.
+    Every verdict compares s against one field t of zones(d), and the
+    class and the rule text read only verdicts and those fields, so a run
+    starts at t and t+1 for every field.  The cuts know no zone: a surplus
+    one only splits a run in two.
     """
     cuts = {s_values.start, s_values.stop}
     for t in zones(d):
         cuts.update((t, t + 1))
-    for listed_d, s in DEGREE1_PAIRS | OPEN_PAIRS:
-        if listed_d == d:
-            cuts.update((s, s + 1))
     edges = sorted(c for c in cuts if s_values.start <= c <= s_values.stop)
     return [range(a, b) for a, b in zip(edges, edges[1:])]
 
@@ -186,24 +177,22 @@ def ext1_nonzero(pair: BlowupPair) -> TriState:
     return _tri(s >= z.alpha_no_min, s <= z.alpha_yes_max)
 
 
+_CLASS_BY_EXT1 = {
+    TriState.YES: DeformationClass.DEGREE1,
+    TriState.UNKNOWN: DeformationClass.OPEN_QUESTION,
+    TriState.NO: DeformationClass.DEGREE2_ALWAYS,
+}
+
+
 def deformation_class(pair: BlowupPair) -> DeformationClass:
     """Which deformation behavior the pair exhibits.
 
     A pair with no smooth cover (or where that existence is itself open)
-    gets NOT_APPLICABLE before anything else is considered.
+    gets NOT_APPLICABLE; otherwise the Ext verdict decides the class.
     """
     if smooth_cover_exists(pair) is not TriState.YES:
         return DeformationClass.NOT_APPLICABLE
-    key = (pair.d, pair.s)
-    if key in DEGREE1_PAIRS:
-        return DeformationClass.DEGREE1
-    if key in OPEN_PAIRS:
-        return DeformationClass.OPEN_QUESTION
-    if pair.s <= zones(pair.d).rigid_max:   # rigidly of degree 2
-        return DeformationClass.DEGREE2_ALWAYS
-    raise AssertionError(
-        f"pair {key} has a smooth cover but no deformation class; "
-        "this is a bug in the zone arithmetic")
+    return _CLASS_BY_EXT1[ext1_nonzero(pair)]
 
 
 class ClassificationRecord(NamedTuple):
@@ -216,8 +205,8 @@ class ClassificationRecord(NamedTuple):
 
 
 def classify(pair: BlowupPair) -> ClassificationRecord:
-    """All verdicts for one pair, with internal consistency enforced."""
-    rec = ClassificationRecord(
+    """All verdicts for one pair."""
+    return ClassificationRecord(
         pair=pair,
         very_ample=very_ample(pair),
         smooth_cover=smooth_cover_exists(pair),
@@ -225,13 +214,6 @@ def classify(pair: BlowupPair) -> ClassificationRecord:
         ext1_nonzero=ext1_nonzero(pair),
         deformation=deformation_class(pair),
     )
-    if rec.deformation is DeformationClass.DEGREE1:
-        if rec.ext1_nonzero is not TriState.YES or rec.smooth_cover is not TriState.YES:
-            raise RuntimeError(f"inconsistent classification for {pair}: {rec}")
-    if rec.deformation is DeformationClass.DEGREE2_ALWAYS:
-        if rec.ext1_nonzero is not TriState.NO or rec.smooth_cover is not TriState.YES:
-            raise RuntimeError(f"inconsistent classification for {pair}: {rec}")
-    return rec
 
 
 def zone_rule(pair: BlowupPair) -> str:
@@ -251,7 +233,7 @@ def zone_rule(pair: BlowupPair) -> str:
     if d == 2:
         return "d=2 rigid cover (s=1)"
     if d <= 6:
-        return f"rigid cover zone s <= (d^2-d+2)/2 = {zones(d).rigid_max}"
+        return f"rigid cover zone s <= (d^2-d+2)/2 = {zones(d).alpha_yes_max}"
     return ("rigid cover zone s <= (2d^2+13d+21)/10 = "
             + _ratio_text(2 * d * d + 13 * d + 21, 10))
 

@@ -10,8 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cangeo.classify import (
-    DEGREE1_PAIRS,
-    OPEN_PAIRS,
     BlowupPair,
     DeformationClass,
     TriState,
@@ -30,6 +28,13 @@ from cangeo.invariants import ModuliDims, SurfaceInvariants
 from cangeo.scrolls import DivisorClass, ScrollSpec
 
 Y, N, U = TriState.YES, TriState.NO, TriState.UNKNOWN
+
+# The seven pairs whose covers deform to birational canonical morphisms and
+# the two where the question is open.  The library reads the class off the
+# cover and Ext verdicts; the reference below reads it off these lists.
+DEGREE1_PAIRS = frozenset(
+    {(3, 5), (3, 6), (4, 8), (4, 9), (4, 10), (5, 13), (5, 14)})
+OPEN_PAIRS = frozenset({(5, 12), (6, 17)})
 
 
 # ---------------------------------------------------------------------------
@@ -348,17 +353,27 @@ def test_ext1_is_monotone_in_s():
 
 # --- deformation class ----------------------------------------------------
 
+def _pairs_of_class(cls: DeformationClass) -> frozenset:
+    """Every pair with d 2..6 and s <= cover_no_min whose class is cls."""
+    return frozenset((d, s) for d in range(2, 7)
+                     for s in range(1, zones(d).cover_no_min + 1)
+                     if deformation_class(BlowupPair(d, s)) is cls)
+
+
 def test_degree1_list():
-    assert DEGREE1_PAIRS == frozenset(
-        {(3, 5), (3, 6), (4, 8), (4, 9), (4, 10), (5, 13), (5, 14)})
-    for d, s in DEGREE1_PAIRS:
-        assert deformation_class(BlowupPair(d, s)) is DeformationClass.DEGREE1
+    assert _pairs_of_class(DeformationClass.DEGREE1) == DEGREE1_PAIRS
 
 
 def test_open_pairs():
-    assert OPEN_PAIRS == frozenset({(5, 12), (6, 17)})
-    for d, s in OPEN_PAIRS:
-        assert deformation_class(BlowupPair(d, s)) is DeformationClass.OPEN_QUESTION
+    assert _pairs_of_class(DeformationClass.OPEN_QUESTION) == OPEN_PAIRS
+
+
+def test_no_degree1_or_open_pair_past_d6():
+    # (d^2-d+2)/2 - (2d^2+13d+21)/10 = (3d^2-18d-11)/10 >= 0 for d >= 7, so
+    # every smooth cover has zero Ext and its class is DEGREE2_ALWAYS
+    for d in range(7, 10**5 + 1):
+        z = zones.__wrapped__(d)
+        assert z.cover_yes_max <= z.alpha_yes_max, d
 
 
 @pytest.mark.parametrize("d,s,want", [
@@ -389,10 +404,13 @@ def test_every_pair_lands_in_exactly_one_class(d, s):
     pair = BlowupPair(d, s)
     cls = deformation_class(pair)
     assert isinstance(cls, DeformationClass)
-    if cls is not DeformationClass.NOT_APPLICABLE:
-        assert smooth_cover_exists(pair) is Y
+    if cls is DeformationClass.NOT_APPLICABLE:
+        assert smooth_cover_exists(pair) is not Y
     else:
-        assert smooth_cover_exists(pair) is not Y or (d, s) not in DEGREE1_PAIRS
+        assert smooth_cover_exists(pair) is Y
+        assert cls is {Y: DeformationClass.DEGREE1,
+                       U: DeformationClass.OPEN_QUESTION,
+                       N: DeformationClass.DEGREE2_ALWAYS}[ext1_nonzero(pair)]
 
 
 @given(st.integers(2, 60), st.integers(1, 400))

@@ -21,9 +21,14 @@ import pytest
 
 from cangeo import cli
 from cangeo.atlas import geography_lines
-from cangeo.classify import (DEGREE1_PAIRS, OPEN_PAIRS, BlowupPair, _ratio_text,
-                             classify, s_runs, zones)
+from cangeo.classify import BlowupPair, _ratio_text, classify, s_runs, zones
 from cangeo.invariants import cover_invariants
+
+# The degree-1 and open pairs: the class changes around each of them, so
+# each must be a run of its own.
+DEGREE1_PAIRS = frozenset(
+    {(3, 5), (3, 6), (4, 8), (4, 9), (4, 10), (5, 13), (5, 14)})
+OPEN_PAIRS = frozenset({(5, 12), (6, 17)})
 
 CONFIG = cli.RunConfig(seed=cli.DEFAULT_SEED, trials=2, prime=cli.DEFAULT_PRIME)
 FORMATS = ("csv", "json", "table")
@@ -237,8 +242,8 @@ def test_geography_points_match_the_per_pair_points(capsys):
 
 
 def test_a_missing_cut_is_caught(monkeypatch):
-    # without its cuts the run 3..9 of d = 3 would cross the listed pairs
-    # (3, 5) and (3, 6): the check at the run's last s fails
+    # without its cuts the run 3..9 of d = 3 would cross the alpha and Ext
+    # cuts at s = 5 and 6: the check at the run's last s fails
     monkeypatch.setattr(cli, "s_runs", lambda d, s_values: [s_values])
     with pytest.raises(AssertionError):
         cli._classification_rows([3], range(4, 7), CONFIG, False)
