@@ -8,16 +8,17 @@ stderr.  Identical invocations produce byte-identical stdout.
 
 Exit codes: 0 success, 1 stdout closed by the reader, 2 bad input (an
 oracle system over the matrix size or elimination work cap included;
-stdout is then empty, as every verdict and every check is made before the
-first byte), 3 oracle measurement disagreeing with a closed-form
-prediction (rerun with another seed; persistent mismatch means a bug on
-one side or the other).
+stdout is then empty, as every input error is decided from the command's
+arguments before the first byte), 3 oracle measurement disagreeing with a
+closed-form prediction (rerun with another seed; persistent mismatch
+means a bug on one side or the other).
 
-A command plans its rows (`Rows`) and writes nothing; `main` then streams
-them.  Closed-form rows are stepped along the runs of `classify.s_runs`
-and held column by column; every format lays out a run's line template
-once and fills it in row by row.  An oracle table is planned and checked
-whole but measured one `d` at a time, as its rows are written and flushed.
+A command checks its input and returns its rows (`Rows`) unwritten;
+`main` then streams them.  Closed-form rows are stepped along the runs of
+`classify.s_runs` and held column by column; every format lays out a
+run's line template once and fills it in row by row.  A table is planned,
+and with the oracle measured, one `d` at a time, as its rows are written
+and flushed.
 
 Each command imports only the layers it runs: a closed-form row
 `invariants`, `xi` and `geography` the atlas (and `scrolls`), the oracle
@@ -171,6 +172,8 @@ def _slot(run: _Run, key: str):
     col = run.vary[key]
     if col.__class__ is tuple:
         return "s", map(_derived, run.column(key))
+    if col.__class__ is _Rendered:
+        return "s", col
     kinds = set(map(type, col)) if col.__class__ is list else {int}
     if bool in kinds:
         raise AssertionError(f"{key} varies over bools")
@@ -202,6 +205,25 @@ def _chunks(items):
     items = iter(items)
     while chunk := list(islice(items, CHUNK_ROWS)):
         yield chunk
+
+
+class _Rendered:
+    """A derived column's cells rendered once, as `_plain` text, and held a
+    chunk of CHUNK_ROWS cells to a string: a long run's cells then cost
+    their characters, not an object each."""
+
+    __slots__ = ("chunks",)
+
+    def __init__(self, values):
+        self.chunks = []
+        for chunk in _chunks(map(_plain, map(_derived, values))):
+            text = "\n".join(chunk)
+            if text.count("\n") != len(chunk) - 1:
+                raise AssertionError("a derived cell holds a line end")
+            self.chunks.append(text)
+
+    def __iter__(self):
+        return chain.from_iterable(text.split("\n") for text in self.chunks)
 
 
 def _encoded(values):
@@ -257,12 +279,17 @@ def _write_json_array(out, rows: Rows) -> None:
     out.write("[]" if sep == "[\n" else "\n]")
 
 
-def _widths(rows: Rows, columns: list[str]) -> list[int]:
-    """The table format's column widths, from one pass over the rows: a
+def _widths(rows: Rows, columns: list[str]) -> tuple[list[_Run], list[int]]:
+    """The table format's one pass over the rows: every run, flat and with
+    each derived column rendered (`_Rendered`), and the column widths.  A
     run's constant cells are rendered once and its int columns read at
     their ends; only its other varying cells are rendered one by one."""
-    widths = list(map(len, columns))
-    for run in map(_Run.flat, rows):
+    runs, widths = [], list(map(len, columns))
+    for run in map(_Run.flat, iter(rows)):
+        run.vary.update({key: _Rendered(run.column(key))
+                         for key, col in run.vary.items()
+                         if col.__class__ is tuple})
+        runs.append(run)
         for i, key in enumerate(columns):
             kind, cells = (_slot(run, key) if key in run.vary
                            else ("s", (run.const.get(key),)))
@@ -270,14 +297,14 @@ def _widths(rows: Rows, columns: list[str]) -> list[int]:
                 cells = ((cells[0], cells[-1]) if cells.__class__ is range
                          else (min(cells), max(cells)))
             widths[i] = max(widths[i], max(map(len, map(_plain, cells))))
-    return widths
+    return runs, widths
 
 
 def _lines(run: _Run, columns: list[str], text, sep: str, widths):
-    """The run's csv or table-format lines, without line ends, each cell
-    `text` of its value padded to its width.  The run's line template is
-    laid out once: a constant cell in it, a slot for a varying one."""
-    run, cells, slots = run.flat(), [], []
+    """The flat run's csv or table-format lines, without line ends, each
+    cell `text` of its value padded to its width.  The run's line template
+    is laid out once: a constant cell in it, a slot for a varying one."""
+    cells, slots = [], []
     for key, width in zip(columns, widths):
         if key in run.vary:
             kind, values = _slot(run, key)
@@ -293,14 +320,15 @@ def emit(rows: Rows, columns: list[str], fmt: str, single: bool = False) -> None
     """Write `rows` to stdout, a chunk of rows at a time; every format lays
     out a run's line template once and fills it in row by row.
 
-    stdout is flushed after each part of `rows`, before the next part is
-    called.  The table format reads every part twice, for its column widths
-    and then for its rows.  With `single`, only the first row is written
-    (in csv, every row).
+    Every format makes one pass over `rows`.  csv and json write each part
+    of `rows` and flush stdout before the next part is made; the table
+    format holds every run, since its column widths need every row.  With
+    `single`, only the first row is written (in csv, every row).
     """
     out = sys.stdout
     if single and fmt != "csv":
-        record = next(iter(rows)).first()
+        # the whole pass (list() of `rows` itself would first call len)
+        record = list(iter(rows))[0].first()
         if fmt == "json":
             out.write(_object(_Run(1, record), "\n  ")[0] % () + "\n")
             return
@@ -314,10 +342,13 @@ def emit(rows: Rows, columns: list[str], fmt: str, single: bool = False) -> None
         return
     if fmt == "csv":   # a width of 0 pads nothing
         text, sep, eol, widths = _csv_text, ",", "\r\n", [0] * len(columns)
+        parts = (map(_Run.flat, part) for part in rows.parts())
     else:
-        text, sep, eol, widths = _plain, "  ", "\n", _widths(rows, columns)
+        text, sep, eol = _plain, "  ", "\n"
+        runs, widths = _widths(rows, columns)
+        parts = [runs]
     head = [sep.join(map(text, map(str.ljust, columns, widths)))]
-    for part in rows.parts():
+    for part in parts:
         lines = chain.from_iterable(_lines(run, columns, text, sep, widths)
                                     for run in part)
         for chunk in _chunks(chain(head, lines)):
@@ -450,30 +481,40 @@ def alpha_record(d: int, s: int, config: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 class Rows:
-    """A command's rows as `_Run`s, planned before any is written.
+    """A command's rows as `_Run`s, made part by part as they are written.
 
-    Every verdict and every check, and so every error, is made when the
-    plan is made.  The rows come in `parts`, zero-argument callables that
-    each return an iterable of runs and are called in order on every pass.
-    A part may do work when it is called (an oracle table measures one
-    column there), and `emit` flushes each part's rows before it calls the
-    next, so that work reaches the reader part by part.  A part called
-    again returns the same runs without redoing its work.  `mismatch`
-    (a MISMATCH flag in some row) is final once the last part has been
-    called.  `len` counts rows.  A run holds its columns, not its rows: the
-    rows are rendered from them on each pass, so that no pass holds them all.
+    The command that returns them has decided every input error already.
+    A pass makes the parts in turn, `part(key)` for each of `keys`, each a
+    list of runs; a part may do work there (a table plans one `d`'s runs,
+    and with the oracle measures its column), and `emit` makes one pass and
+    flushes each part's rows before it makes the next, so that the work
+    reaches the reader part by part.  `mismatch` (a MISMATCH flag in some
+    row) is final once a pass has made the last part.  `len` is the row
+    count of the last full pass, and makes a pass only if none has run.  A
+    run holds its columns, not its rows: the rows are rendered from them as
+    they are written, so that no pass holds them all.
     """
 
-    def __init__(self, *parts, mismatch: bool = False):
-        self._parts = parts
+    def __init__(self, part, keys=(None,), mismatch: bool = False):
+        self._part = part
+        self._keys = keys
         self.mismatch = mismatch
+        self._count = None
 
     def __len__(self) -> int:
-        return sum(run.n for run in self)
+        if self._count is None:
+            for _ in self.parts():
+                pass
+        return self._count
 
     def parts(self):
-        """Each part's runs, in order; a part is called when it is reached."""
-        return (part() for part in self._parts)
+        """Each part's runs, in order; a part is made when it is reached."""
+        count = 0
+        for key in self._keys:
+            runs = self._part(key)
+            count += sum(run.n for run in runs)
+            yield runs
+        self._count = count
 
     def __iter__(self):
         return chain.from_iterable(self.parts())
@@ -483,7 +524,7 @@ class Rows:
         """Rows already built, a run of one row each; MISMATCH in a `flag`
         column is noted."""
         runs = [_Run(1, row) for row in rows]
-        return cls(lambda: runs,
+        return cls(lambda _: runs,
                    mismatch=any(row.get("flag") == "MISMATCH" for row in rows))
 
 
@@ -529,43 +570,42 @@ def _stepped_run(record_at, run: range, derived: dict) -> _Run:
 
 def _classification_rows(d_values, s_values: range, config: RunConfig,
                          with_oracle: bool) -> tuple[Rows, list[str]]:
-    """Rows by (d, s), stepped along the runs of each d.  With the oracle,
-    every d's runs are planned, which validates the pairs, and every column
-    passes alpha_rank's checks; then each d is a part of the rows, which
-    measures its column when first called, and each run takes its slice of
-    the measurements."""
+    """Rows by (d, s), a part for each d, stepped along the d's runs of s.
+
+    Every input error is decided here, from the ranges: their first values
+    bound every pair, and with the oracle every column passes alpha_rank's
+    checks.  A part plans its d's runs and, with the oracle, measures its
+    column, each run taking its slice of the measurements."""
+    BlowupPair(d_values[0], s_values[0])
+    if with_oracle:
+        from .fatpoints import _alpha_floors
+        for d in d_values:
+            _alpha_floors(d, s_values, config.trials)
     # the slope c1sq/c2 of a row, derived cell by cell along a run
     # (SurfaceInvariants.slope as text)
     derived = {"slope": (_ratio_text, ("c1sq", "c2"))}
-    planned = []
-    for d in d_values:
-        def record_at(s, d=d):
-            return classification_record(BlowupPair(d, s))
-        planned.append([_stepped_run(record_at, run, derived)
-                        for run in s_runs(d, s_values)])
-    if not with_oracle:
-        return Rows(lambda: chain.from_iterable(planned)), CLASSIFY_COLUMNS
-    from .fatpoints import _alpha_floors
-    for d in d_values:
-        _alpha_floors(d, s_values, config.trials)
 
-    def measured(d, d_runs):
+    def part(d):
+        def record_at(s):
+            return classification_record(BlowupPair(d, s))
+        runs = [_stepped_run(record_at, run, derived)
+                for run in s_runs(d, s_values)]
+        if not with_oracle:
+            return runs
         alphas = _alpha_measurements(d, s_values, config)
         columns = {f"alpha_{key}": [alpha[key] for alpha in alphas]
                    for key in ("rank", "dim_source", "dim_target", "coker")}
         columns["oracle_flag"] = flags = [alpha["flag"] for alpha in alphas]
         rows.mismatch = rows.mismatch or "MISMATCH" in flags
         start = 0
-        for run in d_runs:
+        for run in runs:
             run.vary.update((key, col[start:start + run.n])
                             for key, col in columns.items())
             start += run.n
-        return d_runs
+        return runs
 
-    # each column measured once, however many passes read it
-    rows = Rows(*(cache(partial(measured, *column))
-                  for column in zip(d_values, planned)))
-    return rows, CLASSIFY_ORACLE_COLUMNS
+    rows = Rows(part, d_values)
+    return rows, CLASSIFY_ORACLE_COLUMNS if with_oracle else CLASSIFY_COLUMNS
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +649,7 @@ def cmd_xi(args, config: RunConfig) -> tuple[Rows, list[str]]:
         "x_prime": list(x_prime), "y": list(y), "d": list(d), "s": list(s),
         "scroll_witness": dict(zip(ScrollWitness._fields,
                                    map(list, zip(*witness))))})
-    return Rows(lambda: [run] if run.n else []), XI_COLUMNS
+    return Rows(lambda _: [run] if run.n else []), XI_COLUMNS
 
 
 def cmd_geography(args, config: RunConfig) -> tuple[Rows, list[str]]:
@@ -622,7 +662,7 @@ def cmd_geography(args, config: RunConfig) -> tuple[Rows, list[str]]:
     for d in args.d_range:
         points.extend(_stepped_run(partial(_point_record, d), run, {})
                       for run in s_runs(d, range(1, zones(d).cover_yes_max + 1)))
-    return Rows(lambda: chain(lines, points)), GEOGRAPHY_COLUMNS
+    return Rows(lambda _: lines + points), GEOGRAPHY_COLUMNS
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +777,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # nothing has been written yet, so stdout stays empty on exit 2
         parser.error(str(exc))
-    # an oracle table measures its columns here, as emit writes them
+    # a table plans (and with the oracle measures) each d here, as emit
+    # writes it
     try:
         emit(rows, columns, args.output_format,
              single=args.command in ("classify", "oracle"))

@@ -325,23 +325,61 @@ def test_every_oracle_column_is_checked_before_any_is_measured(
     assert "cap" in out.err
 
 
-def test_failure_partway_through_a_table_exits_2_with_empty_stdout(
-        capsys, monkeypatch):
-    real, calls = cli.classification_record, []
+@pytest.mark.parametrize("argv", [
+    ("table", "--d", "1..3", "--s", "1..2"),
+    ("table", "--d", "2..3", "--s", "0..2"),
+    ("table", "--d", "2..3", "--s", "0..2", "--oracle"),
+    ("classify", "3", "0"),
+], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
+def test_input_errors_are_decided_from_the_ranges_before_any_row(
+        capsys, monkeypatch, argv):
+    # the ranges' first values bound every pair: no record is built
+    def unplanned(pair):
+        raise AssertionError(f"planned {pair}")
 
-    def fail_on_second(pair, *rest):
-        calls.append(pair)
-        if len(calls) == 2:
-            raise ValueError("second pair rejected")
-        return real(pair, *rest)
-
-    monkeypatch.setattr(cli, "classification_record", fail_on_second)
+    monkeypatch.setattr(cli, "classification_record", unplanned)
     with pytest.raises(SystemExit) as exc:
-        cli.main(["table", "--d", "2..2", "--s", "1..3", "--format", "csv"])
+        cli.main([*argv, "--format", "csv"])
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert "second pair rejected" in out.err
+    assert "must be at least" in out.err
+
+
+class _Flushes(io.StringIO):
+    """A stdout that keeps what it held at each flush."""
+
+    def __init__(self):
+        super().__init__()
+        self.flushed = []
+
+    def flush(self):
+        self.flushed.append(self.getvalue())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_failure_while_a_later_d_is_planned_comes_after_the_earlier_rows(
+        monkeypatch, fmt):
+    # input errors are decided before the first byte, but an internal one
+    # at d = 3 is raised once the rows of d = 2 are written and flushed
+    real = cli.classification_record
+
+    def fail_at_3(pair):
+        if pair.d == 3:
+            raise ValueError("d = 3 rejected")
+        return real(pair)
+
+    monkeypatch.setattr(cli, "classification_record", fail_at_3)
+    out = _Flushes()
+    monkeypatch.setattr(sys, "stdout", out)
+    with pytest.raises(ValueError, match="d = 3 rejected"):
+        cli.main(["table", "--d", "2..3", "--s", "1..3", "--format", fmt])
+    monkeypatch.undo()
+    whole = run_cli("table", "--d", "2..2", "--s", "1..3", "--format", fmt)
+    head = whole.stdout.decode()
+    if fmt == "json":   # without the array's close, which d = 3 would bring
+        head = head[:-len("\n]\n")]
+    assert out.flushed[-1] == out.getvalue() == head
 
 
 def test_oracle_flag_mismatch_exits_3(capsys, monkeypatch):
@@ -780,20 +818,43 @@ def test_flat_json_rows_equal_one_dump_of_the_list(n):
         assert out.getvalue() == json.dumps(rows, indent=2, sort_keys=True)
 
 
-def test_table_format_takes_two_passes_over_a_plan(capsys):
-    # a plan builds its rows on each pass; the table format takes two
-    passes = []
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+def test_each_part_is_called_once_in_every_format(capsys, fmt):
+    # emit makes one pass, a part at a time, and len reads that pass
+    columns = ["d", "slope", "certified", "scroll_witness_a"]
+    runs, calls = list(cli.Rows.of(_json_rows(6))), []
 
-    def build():
-        passes.append(1)
-        return iter(cli.Rows.of(_json_rows(3)))
+    def part(key):
+        calls.append(key)
+        return runs[2 * key:2 * key + 2]
 
-    rows = cli.Rows(build)
-    cli.emit(rows, ["d", "slope", "certified", "scroll_witness_a"], "table")
+    rows = cli.Rows(part, range(3))
+    cli.emit(rows, columns, fmt)
     out = capsys.readouterr().out
-    assert len(passes) == 2
-    assert len(rows) == 3
-    assert out.splitlines()[1].split() == ["0", "0", "true", "1"]
+    assert len(rows) == 6
+    assert calls == [0, 1, 2]
+    cli.emit(cli.Rows.of(_json_rows(6)), columns, fmt)
+    assert out == capsys.readouterr().out
+
+
+def test_the_table_format_renders_each_derived_cell_once(capsys,
+                                                         monkeypatch):
+    # its widths and its lines each rendered every slope cell: 11,018
+    # _ratio_text calls on table --d 2..40 --s 1..400 against 5,509 in csv
+    real, calls = cli._ratio_text, []
+
+    def ratio_text(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_ratio_text", ratio_text)
+    counts = {}
+    for fmt in ("csv", "json", "table"):
+        calls.clear()
+        run_main(capsys, "table", "--d", "2..12", "--s", "1..80",
+                 "--format", fmt)
+        counts[fmt] = len(calls)
+    assert counts["table"] == counts["csv"] == counts["json"]
 
 
 # --- csv and table-format line templates ----------------------------------
@@ -878,7 +939,7 @@ def test_csv_and_table_templates_write_what_the_reference_writes(capsys):
     table = "".join("  ".join(v.ljust(w) for v, w in zip(line, widths))
                     .rstrip() + "\n" for line in [_TEMPLATE_COLUMNS, *cells])
     for fmt, want in (("csv", buf.getvalue()), ("table", table)):
-        cli.emit(cli.Rows(lambda: runs), _TEMPLATE_COLUMNS, fmt)
+        cli.emit(cli.Rows(lambda _: runs), _TEMPLATE_COLUMNS, fmt)
         assert capsys.readouterr().out == want, fmt
 
 
@@ -909,15 +970,15 @@ def test_a_nested_group_of_int_columns_writes_its_rows(capsys):
              "scroll_witness": {key: col[k] for key, col in witness.items()}}
             for k in range(run.n)]
     out = io.StringIO()
-    cli._write_json_array(out, cli.Rows(lambda: [run]))
+    cli._write_json_array(out, cli.Rows(lambda _: [run]))
     assert out.getvalue() == json.dumps(rows, indent=2, sort_keys=True)
     flat = [[cli._plain(record.get(c)) for c in _GROUPED_COLUMNS]
             for record in map(cli._flatten, rows)]
-    cli.emit(cli.Rows(lambda: [run]), _GROUPED_COLUMNS, "csv")
+    cli.emit(cli.Rows(lambda _: [run]), _GROUPED_COLUMNS, "csv")
     header, *lines = csv.reader(io.StringIO(capsys.readouterr().out,
                                             newline=""))
     assert header == _GROUPED_COLUMNS and lines == flat
-    cli.emit(cli.Rows(lambda: [run]), _GROUPED_COLUMNS, "table")
+    cli.emit(cli.Rows(lambda _: [run]), _GROUPED_COLUMNS, "table")
     head, *table = capsys.readouterr().out.splitlines()
     starts = [0, *(head.index("  " + c) + 2 for c in _GROUPED_COLUMNS[1:])]
     assert [[line[a:b].strip() for a, b in zip(starts, [*starts[1:], None])]
@@ -943,7 +1004,7 @@ def test_a_template_slot_refuses_a_bool_or_a_derived_none(capsys, vary, fmt):
     # `%d` would write a bool as 1 and `%s` a None as "None"
     run = cli._Run(3, {"kind": "x"}, {"i": range(3), **vary})
     with pytest.raises(AssertionError):
-        cli.emit(cli.Rows(lambda: [run]), ["kind", "i", *vary], fmt)
+        cli.emit(cli.Rows(lambda _: [run]), ["kind", "i", *vary], fmt)
     capsys.readouterr()
 
 
@@ -1003,6 +1064,18 @@ def test_geography_streams_in_flat_memory(fmt):
     code, peak_kib = map(int, proc.stdout.split())
     assert code == 0
     assert peak_kib < 60 * 1024
+
+
+def test_a_wide_table_plans_in_flat_memory():
+    # planning every d before the first byte took 28 MB at --d 2..8000,
+    # 46 MB at 2..20000 and 170 MB at 2..100000
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, *RUN, "table", "--d", "2..8000",
+         "--s", "1..3", "--format", "csv"],
+        capture_output=True, env=_child_env(), check=True)
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kib < 20 * 1024
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])
@@ -1081,10 +1154,76 @@ def test_each_oracle_column_is_flushed_before_the_next_is_measured(
         assert size == len(head) and out.startswith(head), (d, size)
 
 
+# Runs the command line with classification_record wrapped: its first call
+# at each d first notes on stderr the d and the bytes flushed so far.
+_PLANNED_AT = """
+import os, sys
+from cangeo import cli
+record, seen = cli.classification_record, set()
+def classification_record(pair):
+    if pair.d not in seen:
+        seen.add(pair.d)
+        sys.stderr.write(f"{pair.d} {os.fstat(1).st_size}\\n")
+    return record(pair)
+cli.classification_record = classification_record
+cli.run()
+"""
+
+CLOSED_SWEEP = ["table", "--d", "2..4", "--s", "1..12"]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_each_closed_form_d_is_flushed_before_the_next_is_planned(
+        tmp_path, fmt, unbuffered):
+    env = _child_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    path = tmp_path / "stdout"
+    with open(path, "wb") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-c", _PLANNED_AT, *CLOSED_SWEEP, "--format", fmt],
+            stdout=stdout, stderr=subprocess.PIPE, env=env)
+    assert proc.returncode == 0
+    out = path.read_bytes()
+    assert out == run_cli(*CLOSED_SWEEP, "--format", fmt).stdout
+    # the first d's rows fit in one buffer: only a flush puts them in the
+    # file before the second d is planned
+    assert 0 < len(_head(out, fmt, 2)) < io.DEFAULT_BUFFER_SIZE
+    seen = [tuple(map(int, line.split()))
+            for line in proc.stderr.decode().splitlines()]
+    assert [d for d, _ in seen] == [2, 3, 4]
+    for d, size in seen:
+        head = _head(out, fmt, d - 1)
+        assert size == len(head) and out.startswith(head), (d, size)
+
+
+@pytest.mark.parametrize("single", [False, True])
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+def test_len_after_emit_makes_no_pass(capsys, monkeypatch, fmt, single):
+    # bench/tracer.py reads len(rows) after emit for its row counter
+    from cangeo import fatpoints
+
+    config = cli.RunConfig(seed=cli.DEFAULT_SEED, trials=2,
+                           prime=cli.DEFAULT_PRIME)
+    d_values, s_values = ([4], range(9, 10)) if single else (range(2, 5),
+                                                              range(1, 13))
+    rows, columns = cli._classification_rows(d_values, s_values, config, True)
+    cli.emit(rows, columns, fmt, single=single)
+    capsys.readouterr()
+
+    def work(*args, **kwargs):
+        raise AssertionError("a second pass")
+
+    monkeypatch.setattr(cli, "classification_record", work)
+    monkeypatch.setattr(fatpoints, "alpha_rank", work)
+    assert len(rows) == len(d_values) * len(s_values)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
 def test_each_oracle_column_is_measured_once(capsys, monkeypatch, fmt):
-    # the table format reads every column twice, for its widths and then
-    # for its rows; every column is checked before the first is measured
+    # every column is checked before the first is measured
     from cangeo import fatpoints
 
     check, measure = fatpoints._alpha_floors, fatpoints.alpha_rank

@@ -224,7 +224,8 @@ def test_a_run_across_chunks_with_negative_steps_and_awkward_text(capsys):
     assert {"chi", "c1sq", "slope", "s"} == set(run.vary)
     nested = {**_synthetic(7), "witness": {"r": 6, "l": -1}, "note": "x%"}
     want = [_synthetic(s) for s in stepped] + [nested] + [_synthetic(1)]
-    rows = cli.Rows(lambda: [run, cli._Run(1, nested), cli._Run(1, want[-1])])
+    runs = [run, cli._Run(1, nested), cli._Run(1, want[-1])]
+    rows = cli.Rows(lambda _: runs)
     _assert_emits(capsys, rows, SYNTHETIC_COLUMNS, want)
 
 
@@ -243,9 +244,11 @@ def test_geography_points_match_the_per_pair_points(capsys):
 
 def test_a_missing_cut_is_caught(monkeypatch):
     # without its cuts the run 3..9 of d = 3 would cross the alpha and Ext
-    # cuts at s = 5 and 6: the check at the run's last s fails
+    # cuts at s = 5 and 6: the check at the run's last s fails, when the
+    # run is planned as the rows are iterated
     monkeypatch.setattr(cli, "s_runs", lambda d, s_values: [s_values])
-    with pytest.raises(AssertionError):
-        cli._classification_rows([3], range(4, 7), CONFIG, False)
-    with pytest.raises(AssertionError):
-        cli._classification_rows([3], range(3, 10), CONFIG, False)
+    for s_values in (range(4, 7), range(3, 10)):
+        rows, _ = cli._classification_rows([3], s_values, CONFIG, False)
+        with pytest.raises(AssertionError):
+            for _ in rows:
+                pass
