@@ -6,12 +6,14 @@ two-component enumeration, `geography` for plot-ready line and point
 data.  Output goes to stdout in one of three formats; diagnostics go to
 stderr.  Identical invocations produce byte-identical stdout.
 
-Exit codes: 0 success, 1 stdout closed by the reader, 2 bad input (an
-oracle system over the matrix size or elimination work cap included;
-stdout is then empty, as every input error is decided from the command's
-arguments before the first byte), 3 oracle measurement disagreeing with a
-closed-form prediction (rerun with another seed; persistent mismatch
-means a bug on one side or the other).
+Exit codes: 0 success, 1 stdout closed by the reader (nothing on
+stderr) or an uncaught internal failure (its traceback on stderr, the
+only way to tell the two apart), 2 bad input (an oracle system over the
+matrix size or elimination work cap included; stdout is then empty, as
+every input error is decided from the command's arguments before the
+first byte), 3 oracle measurement disagreeing with a closed-form
+prediction (rerun with another seed; persistent mismatch means a bug on
+one side or the other).
 
 A command checks its input and returns its rows (`Rows`) unwritten;
 `main` then streams them.  Closed-form rows are stepped along the runs of
@@ -35,7 +37,7 @@ from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 from .classify import (BlowupPair, DeformationClass, TriState, _ratio_text,
-                       alpha_surjective, classify, s_runs,
+                       alpha_surjective, classify, deformation_class, s_runs,
                        smooth_cover_exists, zone_rule, zones)
 from .defaults import (DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, MAX_PRIME,
                        MAX_TRIALS, _is_prime)
@@ -285,7 +287,7 @@ def _widths(rows: Rows, columns: list[str]) -> tuple[list[_Run], list[int]]:
     run's constant cells are rendered once and its int columns read at
     their ends; only its other varying cells are rendered one by one."""
     runs, widths = [], list(map(len, columns))
-    for run in map(_Run.flat, iter(rows)):
+    for run in map(_Run.flat, rows):
         run.vary.update({key: _Rendered(run.column(key))
                          for key, col in run.vary.items()
                          if col.__class__ is tuple})
@@ -327,8 +329,7 @@ def emit(rows: Rows, columns: list[str], fmt: str, single: bool = False) -> None
     """
     out = sys.stdout
     if single and fmt != "csv":
-        # the whole pass (list() of `rows` itself would first call len)
-        record = list(iter(rows))[0].first()
+        record = list(rows)[0].first()   # the whole pass
         if fmt == "json":
             out.write(_object(_Run(1, record), "\n  ")[0] % () + "\n")
             return
@@ -430,7 +431,7 @@ def _point_record(d: int, s: int) -> dict:
         "kind": "point", "d": d, "intercept": None,
         "x_min": None, "x_max": None,
         "s": s, "chi": inv.chi, "c1sq": inv.c1sq,
-        "deformation": classify(pair).deformation.value,
+        "deformation": deformation_class(pair).value,
     }
 
 
@@ -488,23 +489,24 @@ class Rows:
     list of runs; a part may do work there (a table plans one `d`'s runs,
     and with the oracle measures its column), and `emit` makes one pass and
     flushes each part's rows before it makes the next, so that the work
-    reaches the reader part by part.  `mismatch` (a MISMATCH flag in some
-    row) is final once a pass has made the last part.  `len` is the row
-    count of the last full pass, and makes a pass only if none has run.  A
-    run holds its columns, not its rows: the rows are rendered from them as
-    they are written, so that no pass holds them all.
+    reaches the reader part by part.  The pass is the one source of the
+    row count and the MISMATCH flag: it sets `mismatch` when a run's
+    `flag` or `oracle_flag` cells hold MISMATCH, final once it has made
+    the last part, and `len` is the row count of the last full pass (a
+    TypeError before one, so `list(rows)` makes just the one pass).  A
+    run holds its columns, not its rows: the rows are rendered from them
+    as they are written, so that no pass holds them all.
     """
 
-    def __init__(self, part, keys=(None,), mismatch: bool = False):
+    def __init__(self, part, keys=(None,)):
         self._part = part
         self._keys = keys
-        self.mismatch = mismatch
+        self.mismatch = False
         self._count = None
 
     def __len__(self) -> int:
         if self._count is None:
-            for _ in self.parts():
-                pass
+            raise TypeError("rows have no length before a full pass")
         return self._count
 
     def parts(self):
@@ -512,7 +514,11 @@ class Rows:
         count = 0
         for key in self._keys:
             runs = self._part(key)
-            count += sum(run.n for run in runs)
+            for run in runs:
+                count += run.n
+                for flag in ("flag", "oracle_flag"):
+                    if flag in run.const or flag in run.vary:
+                        self.mismatch |= "MISMATCH" in run.column(flag)
             yield runs
         self._count = count
 
@@ -521,11 +527,9 @@ class Rows:
 
     @classmethod
     def of(cls, rows: list[dict]) -> Rows:
-        """Rows already built, a run of one row each; MISMATCH in a `flag`
-        column is noted."""
+        """Rows already built, a run of one row each."""
         runs = [_Run(1, row) for row in rows]
-        return cls(lambda _: runs,
-                   mismatch=any(row.get("flag") == "MISMATCH" for row in rows))
+        return cls(lambda _: runs)
 
 
 def _stepped_run(record_at, run: range, derived: dict) -> _Run:
@@ -595,8 +599,7 @@ def _classification_rows(d_values, s_values: range, config: RunConfig,
         alphas = _alpha_measurements(d, s_values, config)
         columns = {f"alpha_{key}": [alpha[key] for alpha in alphas]
                    for key in ("rank", "dim_source", "dim_target", "coker")}
-        columns["oracle_flag"] = flags = [alpha["flag"] for alpha in alphas]
-        rows.mismatch = rows.mismatch or "MISMATCH" in flags
+        columns["oracle_flag"] = [alpha["flag"] for alpha in alphas]
         start = 0
         for run in runs:
             run.vary.update((key, col[start:start + run.n])
@@ -604,8 +607,8 @@ def _classification_rows(d_values, s_values: range, config: RunConfig,
             start += run.n
         return runs
 
-    rows = Rows(part, d_values)
-    return rows, CLASSIFY_ORACLE_COLUMNS if with_oracle else CLASSIFY_COLUMNS
+    return (Rows(part, d_values),
+            CLASSIFY_ORACLE_COLUMNS if with_oracle else CLASSIFY_COLUMNS)
 
 
 # ---------------------------------------------------------------------------

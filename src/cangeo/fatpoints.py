@@ -89,9 +89,13 @@ def _echelon(matrix: np.ndarray, p: int, rank_only: bool = False):
 
     A holds the pivot rows ordered by pivot column, then zero rows.  With
     `rank_only` the caller reads nothing of A, only the pivot columns.
-    The pivot loop (below _BLOCK_MIN_ROWS rows) and the block path return
-    the same pivot columns, and the same A, since the reduced form is
-    unique.
+    Below _BLOCK_MIN_ROWS rows the pivot loop runs; from there the rows
+    are reduced by recursive row blocks (_reduce_rows): the top half is
+    reduced first, cleared out of the bottom half with one product, and
+    the bottom half is reduced and cleared out of the top with another,
+    so the work is in matrix products rather than in a Python loop over
+    pivots.  Both return the same pivot columns, and the same A, since the
+    reduced form is unique.
     """
     _check_modulus(p)
     A = np.asarray(matrix, dtype=np.int64)
@@ -101,9 +105,10 @@ def _echelon(matrix: np.ndarray, p: int, rank_only: bool = False):
     if rows < _BLOCK_MIN_ROWS:
         return A, _pivot_loop(A, p, reduced=not rank_only)
     A = np.ascontiguousarray(A)     # a transpose arrives column-major
-    if rank_only:
-        return A, sorted(_reduce_rows(A, p, rank_only=True))
-    return A, _block_rref(A, p)
+    pivots = _reduce_rows(A, p, rank_only)
+    if not rank_only:
+        A[:len(pivots)] = A[np.argsort(pivots)]
+    return A, sorted(pivots)
 
 
 def _pivot_loop(A: np.ndarray, p: int, reduced: bool) -> list[int]:
@@ -240,20 +245,6 @@ def _reduce_rows(A: np.ndarray, p: int, rank_only: bool = False) -> list[int]:
     A[len(piv1):rank] = E2      # numpy copies through a buffer on overlap
     A[rank:] = 0
     return piv1 + piv2
-
-
-def _block_rref(A: np.ndarray, p: int) -> list[int]:
-    """Reduced row echelon form of the residues A, in place, by recursive
-    row blocks; returns the pivot columns in order.
-
-    The top half of the rows is reduced first, cleared out of the bottom
-    half with one product, and the bottom half is reduced and cleared out
-    of the top with another, so the work is in matrix products rather than
-    in a Python loop over pivots.
-    """
-    pivots = _reduce_rows(A, p)
-    A[:len(pivots)] = A[np.argsort(pivots)]
-    return sorted(pivots)
 
 
 def rank_mod_p(matrix: np.ndarray, p: int = DEFAULT_PRIME) -> int:

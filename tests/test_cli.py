@@ -1221,6 +1221,47 @@ def test_len_after_emit_makes_no_pass(capsys, monkeypatch, fmt, single):
     assert len(rows) == len(d_values) * len(s_values)
 
 
+def test_len_before_a_pass_raises_and_makes_none(monkeypatch):
+    from cangeo import fatpoints
+
+    def work(*args, **kwargs):
+        raise AssertionError("a pass")
+
+    monkeypatch.setattr(cli, "classification_record", work)
+    monkeypatch.setattr(fatpoints, "alpha_rank", work)
+    config = cli.RunConfig(seed=cli.DEFAULT_SEED, trials=2,
+                           prime=cli.DEFAULT_PRIME)
+    rows, _ = cli._classification_rows(range(2, 5), range(1, 13), config, True)
+    with pytest.raises(TypeError):
+        len(rows)
+
+
+def test_list_of_rows_makes_one_pass():
+    calls = []
+
+    def part(key):
+        calls.append(key)
+        return [cli._Run(key + 1, {"k": key})]
+
+    rows = cli.Rows(part, range(3))
+    assert [run.n for run in list(rows)] == [1, 2, 3]
+    assert calls == [0, 1, 2]
+    assert len(rows) == 6
+
+
+@pytest.mark.parametrize("run, mismatch", [
+    (cli._Run(1, {"flag": "MISMATCH"}), True),
+    (cli._Run(3, {}, {"oracle_flag": ["MATCH", "MISMATCH", None]}), True),
+    (cli._Run(2, {"flag": "MATCH"}, {"oracle_flag": ["MATCH", None]}), False),
+    (cli._Run(2, {"rule": "MISMATCH"}, {"s": range(1, 3)}), False),
+])
+def test_a_pass_notes_mismatch_in_flag_cells(run, mismatch):
+    rows = cli.Rows(lambda _: [run])
+    assert not rows.mismatch
+    list(rows)
+    assert rows.mismatch is mismatch
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
 def test_each_oracle_column_is_measured_once(capsys, monkeypatch, fmt):
     # every column is checked before the first is measured

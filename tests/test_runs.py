@@ -95,7 +95,7 @@ def _emitted(capsys, rows: cli.Rows, columns: list[str], fmt: str) -> str:
 
 def _assert_emits(capsys, rows: cli.Rows, columns: list[str], want: list[dict],
                   formats=FORMATS, where=None) -> None:
-    assert len(rows) == len(want), where
+    assert sum(run.n for run in rows) == len(want), where
     for fmt in formats:
         assert _emitted(capsys, rows, columns, fmt) == _reference(
             want, columns, fmt), (where, fmt)
