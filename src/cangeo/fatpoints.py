@@ -78,9 +78,14 @@ _BLOCK_MIN_ROWS = 128
 # measured alike at 140-1500 rows; 16 and 24 were 3-15 % slower at 240-450,
 # and 64 1.3-1.4x slower at 240-250.
 _BLOCK_LEAF_ROWS = 32
-# Columns per product panel: the float64 and int64 temporaries of a panel
-# stay under 4 MiB each at every size the elimination cap allows.
-_PANEL_COLS = 256
+# Panels of _submul_mod_p: each of its six panel buffers holds
+# _PANEL_ENTRIES entries (64 KiB), or _PANEL_MIN_COLS columns of a factor
+# of more than 128 rows.  Every panel's products pack all of X again: a
+# 1500x1653 rank took 1.45x the time of 256-column panels with fresh
+# temporaries at 10 columns per panel (no floor), 1.03x at 64 and 0.95x at
+# 256; at 225 rows 128 columns would add 0.7 MB to the buffers.
+_PANEL_ENTRIES = 2 ** 13
+_PANEL_MIN_COLS = 64
 
 
 def _echelon(matrix: np.ndarray, p: int, rank_only: bool = False):
@@ -101,10 +106,10 @@ def _echelon(matrix: np.ndarray, p: int, rank_only: bool = False):
     A = np.asarray(matrix, dtype=np.int64)
     rows, cols = A.shape
     _check_work(rows, cols)
-    A = A % p
+    # the one working copy, row-major also for a transpose
+    A = np.remainder(A, p, order="C")
     if rows < _BLOCK_MIN_ROWS:
         return A, _pivot_loop(A, p, reduced=not rank_only)
-    A = np.ascontiguousarray(A)     # a transpose arrives column-major
     pivots = _reduce_rows(A, p, rank_only)
     if not rank_only:
         A[:len(pivots)] = A[np.argsort(pivots)]
@@ -144,42 +149,63 @@ def _pivot_loop(A: np.ndarray, p: int, reduced: bool) -> list[int]:
     return pivots
 
 
-def _limbs(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 16-bit halves of residues below 2**32, as float64."""
-    return (X >> 16).astype(np.float64), (X & 0xFFFF).astype(np.float64)
-
-
-def _submul_mod_p(C: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int) -> None:
-    """C = (C - X @ Y) mod p in place, exact, on residues below p < 2**32.
+def _submul_mod_p(C: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int,
+                  cols=slice(None)) -> None:
+    """C = (C - X[:, cols] @ Y) mod p in place, exact, on residues below
+    p < 2**32.
 
     Each factor is split into 16-bit limbs, X = xh * 2**16 + xl and Y
-    likewise, panel by panel.  Three float64 products give hh = xh @ yh,
-    ll = xl @ yl and the cross terms mid = (xh + xl) @ (yh + yl) - hh - ll,
-    whose every term is below 2**34.  The inner dimension n is a rank, at
-    most 1625 under MAX_ELIMINATION_WORK, or a leaf's rows, at most
-    _BLOCK_LEAF_ROWS, or the length of a V_{d-1} vector in _kernel_flag,
-    at most 1891 under alpha_rank's checks; so every sum stays below
-    n * 2**34 < 2**45, exact under 2**53.  The limbs are recombined by
-    Horner's rule in int64 with two reductions: hh * 2**16 + mid, below
-    2**60, is reduced mod p, shifted by 16 bits and ll added, below 2**49;
-    C minus that, above -2**49, is reduced once.
+    likewise.  Three float64 products give hh = xh @ yh, ll = xl @ yl and
+    the cross terms mid = (xh + xl) @ (yh + yl) - hh - ll, whose every term
+    is below 2**34.  The inner dimension n is a rank, at most 1625 under
+    MAX_ELIMINATION_WORK, or a leaf's rows, at most _BLOCK_LEAF_ROWS, or
+    the length of a V_{d-1} vector in _kernel_flag, at most 1891 under
+    alpha_rank's checks; so every sum stays below n * 2**34 < 2**45, exact
+    under 2**53.  The limbs are recombined by Horner's rule in int64 with
+    two reductions: hh * 2**16 + mid, below 2**60, is reduced mod p,
+    shifted by 16 bits and ll added, below 2**49; C minus that, above
+    -2**49, is reduced once.
+
+    The workspace is X's three limb arrays and six panel buffers.  The
+    limbs are gathered _PANEL_ENTRIES entries at a time, so no copy of
+    X[:, cols] is made, and X may be C itself: it is read before C is
+    written.  The buffers are made once and written through out= for each
+    panel of Y's and C's columns, so a call allocates the same whatever
+    C's width.
     """
-    xh, xl = _limbs(X)
+    m, n = C.shape[0], Y.shape[0]
+    xh, xl = np.empty((m, n)), np.empty((m, n))
+    step = max(1, _PANEL_ENTRIES // max(n, 1))
+    for i in range(0, m, step):
+        block = X[i:i + step, cols]
+        np.right_shift(block, 16, out=xh[i:i + step], casting="unsafe")
+        np.bitwise_and(block, 0xFFFF, out=xl[i:i + step], casting="unsafe")
     xs = xh + xl
-    for j in range(0, C.shape[1], _PANEL_COLS):
-        yh, yl = _limbs(Y[:, j:j + _PANEL_COLS])
-        hh = xh @ yh
-        ll = xl @ yl
-        mid = xs @ (yh + yl)
+    width = max(_PANEL_MIN_COLS, _PANEL_ENTRIES // max(m, n, 1))
+    width = max(1, min(width, C.shape[1]))
+    yh_buf, yl_buf = np.empty(n * width), np.empty(n * width)
+    hh_buf, ll_buf, mid_buf = (np.empty(m * width) for _ in range(3))
+    prod_buf = np.empty(m * width, dtype=np.int64)
+    for j in range(0, C.shape[1], width):
+        panel = C[:, j:j + width]
+        w = panel.shape[1]
+        yh, yl = (buf[:n * w].reshape(n, w) for buf in (yh_buf, yl_buf))
+        hh, ll, mid, prod = (buf[:m * w].reshape(m, w) for buf in
+                             (hh_buf, ll_buf, mid_buf, prod_buf))
+        np.right_shift(Y[:, j:j + w], 16, out=yh, casting="unsafe")
+        np.bitwise_and(Y[:, j:j + w], 0xFFFF, out=yl, casting="unsafe")
+        np.matmul(xh, yh, out=hh)
+        np.matmul(xl, yl, out=ll)
+        yh += yl
+        np.matmul(xs, yh, out=mid)
         mid -= hh
         mid -= ll
-        prod = hh.astype(np.int64)
+        prod[...] = hh
         prod <<= 16
-        prod += mid.astype(np.int64)
+        np.add(prod, mid, out=prod, dtype=np.int64, casting="unsafe")
         prod %= p
         prod <<= 16
-        prod += ll.astype(np.int64)
-        panel = C[:, j:j + _PANEL_COLS]
+        np.add(prod, ll, out=prod, dtype=np.int64, casting="unsafe")
         panel -= prod
         panel %= p
 
@@ -233,14 +259,14 @@ def _reduce_rows(A: np.ndarray, p: int, rank_only: bool = False) -> list[int]:
     E1 = top[:len(piv1)]
     if piv1:
         # E1 is the identity on piv1, so this clears piv1 out of the bottom
-        _submul_mod_p(bottom, bottom[:, piv1], E1, p)
+        _submul_mod_p(bottom, bottom, E1, p, cols=piv1)
     piv2 = _reduce_rows(bottom, p, rank_only)
     if rank_only:
         return piv1 + piv2
     E2 = bottom[:len(piv2)]
     if piv1 and piv2:
         # E2 is zero on piv1 and the identity on piv2
-        _submul_mod_p(E1, E1[:, piv2], E2, p)
+        _submul_mod_p(E1, E1, E2, p, cols=piv2)
     rank = len(piv1) + len(piv2)
     A[len(piv1):rank] = E2      # numpy copies through a buffer on overlap
     A[rank:] = 0
@@ -390,11 +416,23 @@ def vanishing_matrix(cfg: PointConfiguration, system: FatPointSystem,
     a, b = np.array([(a, b) for a in range(r) for b in range(r - a)]).T
     a, b = a[:, None], b[:, None]
     coef = falling[a, i] * falling[b, j] % p
-    A = xpow[:, np.maximum(i - a, 0)]       # (points, (a, b), monomials)
-    A *= coef
-    A %= p
-    A *= ypow[:, np.maximum(j - b, 0)]
-    A %= p
+    x_exp, y_exp = np.maximum(i - a, 0), np.maximum(j - b, 0)
+    # (points, (a, b), monomials), row-major, so the reshape is a view.  It
+    # is filled a block of points at a time, a block being at most one
+    # (a, b) slice of rows (or one point), through one scratch block.
+    # mode="clip" lets take write straight into out; no exponent is clipped
+    step = max(1, xy.shape[0] // coef.shape[0])
+    A = np.empty((xy.shape[0], *coef.shape), dtype=np.int64)
+    scratch = np.empty((step, *coef.shape), dtype=np.int64)
+    for g in range(0, xy.shape[0], step):
+        block = A[g:g + step]
+        ypow_block = scratch[:block.shape[0]]
+        np.take(xpow[g:g + step], x_exp, axis=1, out=block, mode="clip")
+        block *= coef
+        block %= p
+        np.take(ypow[g:g + step], y_exp, axis=1, out=ypow_block, mode="clip")
+        block *= ypow_block
+        block %= p
     return A.reshape(system.conditions, system.ambient_dim)
 
 

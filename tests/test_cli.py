@@ -1095,6 +1095,26 @@ def test_one_long_run_of_s_streams_in_flat_memory(fmt):
     assert peak_kib("1..162000") < peak_kib("1..100") + 5 * 1024
 
 
+def test_an_oracle_measurement_holds_its_matrix_one_copy_and_panels():
+    # (40, 5, 30) is a 450x861 matrix, 3.0 MiB, eliminated by row blocks;
+    # (4, 2, 5) is a 10x15 one, eliminated by the pivot loop.  The larger
+    # peaked 9.3 MiB above the smaller: the matrix, one working copy, the
+    # BLAS threads' first use and the products' limbs and panels.  A build
+    # at twice the matrix, fresh panel temporaries and copies of the
+    # gathered pivot columns took it to 13.2 MiB above
+    def peak_kib(k, r, s):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, *RUN, "oracle", "h0", "--k",
+             str(k), "--r", str(r), "--s", str(s), "--trials", "1"],
+            capture_output=True, env=_child_env(), check=True)
+        code, peak = map(int, proc.stdout.split())
+        assert code == 0
+        return peak
+
+    matrix_kib = 450 * 861 * 8 // 1024
+    assert peak_kib(40, 5, 30) < peak_kib(4, 2, 5) + 2 * matrix_kib + 5 * 1024
+
+
 # --- oracle tables, column by column --------------------------------------
 
 ORACLE_SWEEP = ["table", "--d", "2..4", "--s", "1..12", "--oracle"]

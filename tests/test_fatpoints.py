@@ -7,6 +7,7 @@ fast path existed, so the two implementations share no code.
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -29,6 +30,7 @@ from cangeo.fatpoints import (
     alpha_rank,
     _alpha_floors,
     _alpha_trial,
+    _echelon,
     _most_generic,
     _pivot_loop,
     _prefix_ranks,
@@ -339,6 +341,90 @@ def test_limb_product_matches_exact_integers_on_random_residues(inner):
     expected = _submul_reference(acc, left, right, p)
     _submul_mod_p(acc, left, right, p)
     assert acc.tolist() == expected.tolist()
+
+
+def test_limb_product_gathers_its_left_factor_from_c_itself():
+    # C -= C[:, cols] @ Y, as the block elimination clears its pivots; 400
+    # rows take the gather in several blocks
+    p = 3037000493
+    rng = np.random.default_rng(11)
+    acc = rng.integers(0, p, size=(400, 300))
+    cols = rng.permutation(300)[:50]
+    right = rng.integers(0, p, size=(50, 300))
+    expected = _submul_reference(acc, acc[:, cols], right, p)
+    _submul_mod_p(acc, acc, right, p, cols=cols)
+    assert acc.tolist() == expected.tolist()
+
+
+# --- working set, measured with tracemalloc, which numpy reports to -------
+
+# numpy's ufunc casting buffers (8192 entries, 64 KiB each) and small
+# Python objects
+SLACK = 256 * 1024
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes allocated while `call` runs, above what it started with."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_limb_product_allocates_the_same_whatever_its_width():
+    # fresh limbs and temporaries per panel, each set alive while the next
+    # was made, took 3.2 MiB more at 4096 columns than at 64
+    rng = np.random.default_rng(7)
+    left = rng.integers(0, P, size=(225, 225))
+    peaks = []
+    for cols in (64, 4096):
+        acc = rng.integers(0, P, size=(225, cols))
+        right = rng.integers(0, P, size=(225, cols))
+        peaks.append(_traced_peak(lambda: _submul_mod_p(acc, left, right, P)))
+    assert peaks[1] <= peaks[0] + SLACK
+    # the left factor's three limb arrays and six panel buffers
+    panel = 225 * max(fatpoints._PANEL_MIN_COLS,
+                      fatpoints._PANEL_ENTRIES // 225) * 8
+    assert peaks[1] <= 3 * left.nbytes + 6 * panel + SLACK
+
+
+def test_the_vanishing_matrix_is_built_in_place_and_row_major():
+    # the result, one (points x monomials) slice of scratch, and three
+    # ((a, b) x monomials) tables: coefficients and two exponent indices,
+    # besides the monomial list.  The build peaked at twice the result,
+    # which the reshape then copied
+    system = FatPointSystem(40, 5, 30)
+    cfg = PointConfiguration.random(30, seed=1, p=P)
+    built = []
+    peak = _traced_peak(lambda: built.append(vanishing_matrix(cfg, system, P)))
+    [matrix] = built
+    assert matrix.dtype == np.int64 and matrix.flags.c_contiguous
+    assert matrix.shape == (450, 861)
+    one_slice = 30 * 861 * 8
+    tables = 3 * 15 * 861 * 8
+    assert peak <= matrix.nbytes + one_slice + tables + SLACK
+
+
+def test_a_transpose_is_eliminated_in_one_working_copy(monkeypatch):
+    # the residues of a transpose were made column-major, then copied again
+    # to row-major: two copies alive before the first product
+    matrix = np.random.default_rng(3).integers(0, P, size=(450, 861)).T
+    reduce_rows = fatpoints._reduce_rows
+    entered = []
+
+    def first_entry(A, p, rank_only=False):
+        if not entered:
+            entered.append((A.flags.c_contiguous,
+                            tracemalloc.get_traced_memory()[1]))
+        return reduce_rows(A, p, rank_only)
+
+    monkeypatch.setattr(fatpoints, "_reduce_rows", first_entry)
+    _traced_peak(lambda: _echelon(matrix, P, rank_only=True))
+    [(row_major, peak)] = entered
+    assert row_major
+    assert peak <= matrix.nbytes + SLACK
 
 
 def test_moduli_that_overflow_int64_are_rejected():
