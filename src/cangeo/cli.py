@@ -95,9 +95,9 @@ class _Run:
     """`n` consecutive rows with the same keys, held column by column.
 
     `const` maps a key to the value of every row; `vary` maps a key to its
-    n values, as a `range` (a stepped int), a list, or a pair `(fn, keys)`
-    for a column whose cells are fn of the cells of the columns `keys`.
-    A varying column holds an int, a str or None, never a bool.
+    n values, as a `range` (a stepped int), a list, or a derived column
+    rendered where the run was planned (`_Rendered`).  A varying column
+    holds an int, a str or None, never a bool.
     A dict in either is a nested group, its sub-keys mapped the same way:
     an object in json, the columns `key_sub` in csv and the table format.
     A record that is not stepped is a run of one row.
@@ -115,9 +115,6 @@ class _Run:
         col = self.vary.get(key)
         if col is None:
             return repeat(self.const.get(key), self.n)
-        if col.__class__ is tuple:
-            fn, keys = col
-            return map(fn, *map(self.column, keys))
         return iter(col)
 
     def first(self) -> dict:
@@ -161,19 +158,12 @@ def _flatten(record: dict) -> dict:
     return flat
 
 
-def _derived(value):
-    if value is None or value.__class__ is bool:
-        raise AssertionError(f"a derived cell is {value!r}")
-    return value
-
-
 def _slot(run: _Run, key: str):
     """A varying column as its slot's `%` conversion and its values: "d" and
-    the ints of a stepped or all-int column, "s" and the values of any other.
-    It fails on a bool (which `%d` writes as 1) or a derived None."""
+    the ints of a stepped or all-int column, "s" and the values (or the
+    `_Rendered` texts) of any other.  It fails on a bool, which `%d` writes
+    as 1."""
     col = run.vary[key]
-    if col.__class__ is tuple:
-        return "s", map(_derived, run.column(key))
     if col.__class__ is _Rendered:
         return "s", col
     kinds = set(map(type, col)) if col.__class__ is list else {int}
@@ -210,18 +200,21 @@ def _chunks(items):
 
 
 class _Rendered:
-    """A derived column's cells rendered once, as `_plain` text, and held a
-    chunk of CHUNK_ROWS cells to a string: a long run's cells then cost
-    their characters, not an object each."""
+    """A derived column's cells, rendered where its run is planned and held
+    a chunk of CHUNK_ROWS cells to a string: a long run's cells then cost
+    their characters, not an object each.  A cell is a str (the join fails
+    on None or a bool) with no line end, comma or quote, so that csv and
+    the table format copy it as it is; json encodes it."""
 
     __slots__ = ("chunks",)
 
-    def __init__(self, values):
+    def __init__(self, texts):
         self.chunks = []
-        for chunk in _chunks(map(_plain, map(_derived, values))):
+        for chunk in _chunks(texts):
             text = "\n".join(chunk)
-            if text.count("\n") != len(chunk) - 1:
-                raise AssertionError("a derived cell holds a line end")
+            if (text.count("\n") != len(chunk) - 1 or "\r" in text
+                    or "," in text or '"' in text):
+                raise AssertionError(f"a derived cell needs quoting: {text!r}")
             self.chunks.append(text)
 
     def __iter__(self):
@@ -282,15 +275,12 @@ def _write_json_array(out, rows: Rows) -> None:
 
 
 def _widths(rows: Rows, columns: list[str]) -> tuple[list[_Run], list[int]]:
-    """The table format's one pass over the rows: every run, flat and with
-    each derived column rendered (`_Rendered`), and the column widths.  A
-    run's constant cells are rendered once and its int columns read at
-    their ends; only its other varying cells are rendered one by one."""
+    """The table format's one pass over the rows: every run, flat, and the
+    column widths.  A run's constant cells are rendered once, its int
+    columns read at their ends and its derived texts measured as they are;
+    only its other varying cells are rendered one by one."""
     runs, widths = [], list(map(len, columns))
     for run in map(_Run.flat, rows):
-        run.vary.update({key: _Rendered(run.column(key))
-                         for key, col in run.vary.items()
-                         if col.__class__ is tuple})
         runs.append(run)
         for i, key in enumerate(columns):
             kind, cells = (_slot(run, key) if key in run.vary
@@ -298,7 +288,9 @@ def _widths(rows: Rows, columns: list[str]) -> tuple[list[_Run], list[int]]:
             if kind == "d":
                 cells = ((cells[0], cells[-1]) if cells.__class__ is range
                          else (min(cells), max(cells)))
-            widths[i] = max(widths[i], max(map(len, map(_plain, cells))))
+            if cells.__class__ is not _Rendered:
+                cells = map(_plain, cells)
+            widths[i] = max(widths[i], max(map(len, cells)))
     return runs, widths
 
 
@@ -311,7 +303,8 @@ def _lines(run: _Run, columns: list[str], text, sep: str, widths):
         if key in run.vary:
             kind, values = _slot(run, key)
             cells.append(f"%-{width}{kind}")
-            slots.append(values if kind == "d" else map(text, values))
+            slots.append(values if kind == "d" or values.__class__ is _Rendered
+                         else map(text, values))
         else:
             cells.append(text(run.const.get(key)).ljust(width).replace("%", "%%"))
     return map(sep.join(cells).__mod__,
@@ -538,9 +531,9 @@ def _stepped_run(record_at, run: range, derived: dict) -> _Run:
     `record_at(s)` is called at the run's first s and, if it has one, its
     second: every int field then steps by their difference (`s` included),
     and every other field must stay the same.  A field of `derived`, keyed
-    to `(fn, source keys)`, is fn of its sources cell by cell where one of
-    them steps.  A third call at the last s checks the stepping, so a
-    missing cut cannot pass unseen.
+    to `(fn, source keys)`, is fn's text of its sources, rendered here cell
+    by cell (`_Rendered`) where one of them steps.  A third call at the
+    last s checks the stepping, so a missing cut cannot pass unseen.
     """
     first = record_at(run.start)
     n = len(run)
@@ -560,16 +553,17 @@ def _stepped_run(record_at, run: range, derived: dict) -> _Run:
         else:
             raise AssertionError(
                 f"{key} changes inside the run {run} of {first}")
+    stepped = _Run(n, const, vary)
     last = {key: col[-1] for key, col in vary.items()}
     for key, (fn, sources) in derived.items():
         if any(source in vary for source in sources):
-            vary[key] = fn, sources
-            last[key] = fn(*(last.get(k, const.get(k)) for k in sources))
+            vary[key] = col = _Rendered(map(fn, *map(stepped.column, sources)))
+            last[key] = col.chunks[-1].rpartition("\n")[2]
         else:
             const[key] = first[key]
     if n > 2 and {**const, **last} != record_at(run[-1]):
         raise AssertionError(f"the run {run} of {first} is not affine in s")
-    return _Run(n, const, vary)
+    return stepped
 
 
 def _classification_rows(d_values, s_values: range, config: RunConfig,

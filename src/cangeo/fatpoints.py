@@ -296,9 +296,13 @@ def kernel_basis_mod_p(matrix: np.ndarray, p: int = DEFAULT_PRIME) -> np.ndarray
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
     _check_size(free.size, cols)
+    block = R[:len(pivots), free].T   # gathered: a copy of its own
+    del R   # before the basis is allocated
+    np.negative(block, out=block)
+    block %= p
     basis = np.zeros((free.size, cols), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = -R[:len(pivots), free].T % p
+    basis[:, pivots] = block
     return basis
 
 

@@ -839,22 +839,33 @@ def test_each_part_is_called_once_in_every_format(capsys, fmt):
 
 def test_the_table_format_renders_each_derived_cell_once(capsys,
                                                          monkeypatch):
-    # its widths and its lines each rendered every slope cell: 11,018
-    # _ratio_text calls on table --d 2..40 --s 1..400 against 5,509 in csv
-    real, calls = cli._ratio_text, []
+    # every format: one _ratio_text call per slope cell of a stepped run,
+    # made where the run is planned, besides the one in each record built
+    # (a run's first, second and last s).  The table format's widths and
+    # lines once each rendered every cell, and every format rendered one
+    # cell more per run for the check at its last s
+    rows, _ = cli._classification_rows(range(2, 13), range(1, 81), None, False)
+    cells = sum(run.n for run in rows if "slope" in run.vary)
+    real_ratio, real_record = cli._ratio_text, cli.classification_record
+    calls, records = [], []
 
     def ratio_text(*args):
         calls.append(args)
-        return real(*args)
+        return real_ratio(*args)
+
+    def classification_record(pair):
+        records.append(real_record(pair))
+        return records[-1]
 
     monkeypatch.setattr(cli, "_ratio_text", ratio_text)
-    counts = {}
+    monkeypatch.setattr(cli, "classification_record", classification_record)
     for fmt in ("csv", "json", "table"):
         calls.clear()
+        records.clear()
         run_main(capsys, "table", "--d", "2..12", "--s", "1..80",
                  "--format", fmt)
-        counts[fmt] = len(calls)
-    assert counts["table"] == counts["csv"] == counts["json"]
+        with_slope = sum(record["slope"] is not None for record in records)
+        assert len(calls) == cells + with_slope, fmt
 
 
 # --- csv and table-format line templates ----------------------------------
@@ -868,37 +879,43 @@ _TEMPLATE_COLUMNS = ["kind", "i", "j", "m", "note", "ratio", *_AWKWARD,
                      "w_r", "absent", "tail"]
 
 
+def _ratios(numerators, den) -> cli._Rendered:
+    """The derived column numerator/den, rendered as a plan renders one."""
+    return cli._Rendered(str(Fraction(i, den)) for i in numerators)
+
+
 def _template_runs():
     """Runs whose stepped columns cross digit and sign boundaries, with int
-    list columns, a list column holding None, a derived Fraction column and
-    a last column that is empty on some rows, then rows of their own.  The
-    widest j is the last of a stepped column and the widest m the middle of
-    a list, so that neither is seen at a column's first row."""
-    ratio = (Fraction, ("i", "den"))
+    list columns, a list column holding None, a derived ratio column as
+    rendered text and a last column that is empty on some rows, then rows
+    of their own.  The widest j is the last of a stepped column and the
+    widest m the middle of a list, so that neither is seen at a column's
+    first row."""
     n = 25
     return [
-        cli._Run(n, {"kind": "a", "den": 7, **_AWKWARD},
+        cli._Run(n, {"kind": "a", **_AWKWARD},
                  {"i": range(-12, 13), "j": range(10, 10 - 3 * n, -3),
                   "note": [None if k % 3 else f"n{k},%" for k in range(n)],
-                  "ratio": ratio,
+                  "ratio": _ratios(range(-12, 13), 7),
                   "tail": ["" if k % 2 else "end" for k in range(n)]}),
-        cli._Run(10, {"kind": "b%", "den": -3, "tail": "", **_AWKWARD},
+        cli._Run(10, {"kind": "b%", "tail": "", **_AWKWARD},
                  {"i": range(95, 105), "j": range(10, -20, -3),
                   "m": [3, -1234, 7, 0, 12, 5, 6, 8, 9, 1],
-                  "note": list(range(-5, 5)), "ratio": ratio}),
-        cli._Run(7, {"kind": "c", "i": 2, "den": 5, "tail": "t"},
-                 {"j": range(10, -11, -3), "ratio": ratio}),
+                  "note": list(range(-5, 5)),
+                  "ratio": _ratios(range(95, 105), -3)}),
+        cli._Run(7, {"kind": "c", "i": 2, "tail": "t"},
+                 {"j": range(10, -11, -3), "ratio": _ratios([2] * 7, 5)}),
         cli._Run(1, {"kind": "one", "i": -1, "j": 3, "note": 'x"%s',
                      "ratio": Fraction(-1, 3), "w": {"r": 6, "l": None},
                      **_AWKWARD, "tail": "  "}),
-        cli._Run(1, {"kind": "two", "i": 3, "den": 4, "tail": "last"},
-                 {"j": [7], "note": [None], "ratio": ratio}),
+        cli._Run(1, {"kind": "two", "i": 3, "tail": "last"},
+                 {"j": [7], "note": [None], "ratio": _ratios([3], 4)}),
     ]
 
 
 def _expanded(run) -> list[dict]:
-    """The run's rows, computed here from its fields; nested dicts
-    flattened."""
+    """The run's rows, read here from its fields; nested dicts flattened."""
+    columns = {key: list(col) for key, col in run.vary.items()}
     rows = []
     for k in range(run.n):
         row = {}
@@ -907,14 +924,7 @@ def _expanded(run) -> list[dict]:
                 row.update((f"{key}_{sub}", v) for sub, v in value.items())
             else:
                 row[key] = value
-        derived = {}
-        for key, col in run.vary.items():
-            if isinstance(col, tuple):
-                derived[key] = col
-            else:
-                row[key] = col[k]
-        for key, (fn, sources) in derived.items():
-            row[key] = fn(*(row.get(source) for source in sources))
+        row.update((key, col[k]) for key, col in columns.items())
         rows.append(row)
     return rows
 
@@ -994,18 +1004,50 @@ def test_a_single_json_object_equals_one_dump_of_its_row(capsys):
         row, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("vary", [
-    {"flag": [True, False, True]},
-    {"flag": [1, True, 3]},
-    {"ratio": (lambda i: None if i == 2 else Fraction(i, 3), ("i",))},
+def _flags(*flags) -> cli._Run:
+    return cli._Run(3, {"kind": "x"}, {"i": range(3), "flag": list(flags)})
+
+
+def _a_derived_none() -> cli._Run:
+    """A run of s planned with a derived column whose text is None at its
+    third s."""
+    def ratio(i):
+        return None if i == 2 else str(Fraction(i, 3))
+
+    return cli._stepped_run(lambda s: {"kind": "x", "i": s, "ratio": ratio(s)},
+                            range(3), {"ratio": (ratio, ("i",))})
+
+
+@pytest.mark.parametrize("key,plan,error", [
+    ("flag", lambda: _flags(True, False, True), AssertionError),
+    ("flag", lambda: _flags(1, True, 3), AssertionError),
+    ("ratio", _a_derived_none, TypeError),
 ], ids=["bools", "an-int-and-a-bool", "a-derived-none"])
 @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
-def test_a_template_slot_refuses_a_bool_or_a_derived_none(capsys, vary, fmt):
-    # `%d` would write a bool as 1 and `%s` a None as "None"
-    run = cli._Run(3, {"kind": "x"}, {"i": range(3), **vary})
-    with pytest.raises(AssertionError):
-        cli.emit(cli.Rows(lambda _: [run]), ["kind", "i", *vary], fmt)
+def test_a_template_slot_refuses_a_bool_or_a_derived_none(capsys, key, plan,
+                                                          error, fmt):
+    # `%d` would write a bool as 1 and `%s` a None as "None".  A derived
+    # None is refused where its run is planned, inside emit and before any
+    # slot (test_a_rendered_column_refuses_a_cell_it_cannot_copy)
+    with pytest.raises(error):
+        cli.emit(cli.Rows(lambda _: [plan()]), ["kind", "i", key], fmt)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cell,error", [
+    (None, TypeError), (True, TypeError), ("1\n2", AssertionError),
+    ("1\r2", AssertionError), ("1,2", AssertionError),
+    ('"1/2"', AssertionError),
+], ids=["none", "bool", "lf", "cr", "comma", "quote"])
+def test_a_rendered_column_refuses_a_cell_it_cannot_copy(cell, error):
+    # csv and the table format copy a rendered cell as it is, so a cell
+    # that is not text, or that csv would quote, is refused when it is
+    # built; here in its second chunk
+    texts = [str(Fraction(k, 7)) for k in range(-10, cli.CHUNK_ROWS)]
+    column = cli._Rendered(texts)
+    assert list(column) == texts
+    with pytest.raises(error):
+        cli._Rendered([*texts, cell])
 
 
 # sha256 of the stdout of invocations that no stored benchmark hash
@@ -1078,11 +1120,12 @@ def test_a_wide_table_plans_in_flat_memory():
     assert peak_kib < 20 * 1024
 
 
-@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
 def test_one_long_run_of_s_streams_in_flat_memory(fmt):
-    # s 1..162000 is one run at d = 900, with a slope cell in every row;
-    # holding the run's slope texts took 26 MB more (json) and 11 MB more
-    # (table) than a run of 100 rows
+    # s 1..162000 is one run at d = 900, with a slope cell in every row,
+    # rendered where the run is planned: its texts cost about 0.7 MB in
+    # every format.  Holding them a str each took 26 MB more (json) and
+    # 11 MB more (table) than a run of 100 rows
     def peak_kib(s_range):
         proc = subprocess.run(
             [sys.executable, "-c", _PEAK_RSS, *RUN, "table", "--d", "900",

@@ -427,6 +427,23 @@ def test_a_transpose_is_eliminated_in_one_working_copy(monkeypatch):
     assert peak <= matrix.nbytes + SLACK
 
 
+def test_a_kernel_basis_holds_the_basis_and_one_gathered_block():
+    # the 300x820 degree-39 matrix of `oracle alpha --d 40 --s 300`: the
+    # echelon form alive beside the basis and the negation's two
+    # rank-by-free temporaries took 7.5 MiB, for a 3.3 MiB basis
+    cfg = PointConfiguration.random(300, 0xC0FFEE)
+    matrix = vanishing_matrix(cfg, FatPointSystem(39, 1, 300))
+    built = []
+    peak = _traced_peak(lambda: built.append(kernel_basis_mod_p(matrix)))
+    [basis] = built
+    reduced, pivots = rref_mod_p(matrix)
+    free = [c for c in range(820) if c not in pivots]
+    assert basis.shape == (520, 820) and len(pivots) == 300
+    assert (basis[:, free] == np.eye(520, dtype=np.int64)).all()
+    assert (basis[:, pivots] == -reduced[:300, free].T % P).all()
+    assert peak <= basis.nbytes + 300 * 520 * 8 + SLACK
+
+
 def test_moduli_that_overflow_int64_are_rejected():
     big = 4294967311   # prime, (big - 1)**2 > 2**63
     mat = np.array([[1, 2], [3, 4]], dtype=np.int64)

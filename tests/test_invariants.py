@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from cangeo.classify import BlowupPair, DeformationClass, deformation_class
+from cangeo.classify import (BlowupPair, DeformationClass, deformation_class,
+                             s_runs, zones)
 from cangeo.invariants import (
     ModuliDims,
     SurfaceInvariants,
@@ -155,3 +156,34 @@ def test_chi_equals_pg_plus_one():
                 continue
             assert inv.chi == inv.p_g + 1
             assert inv.q == 0
+
+
+def test_every_cover_satisfies_the_theorems_of_the_geography():
+    # Noether c1^2 >= 2p_g - 4, with slack (d-1)(d-2); Bogomolov-Miyaoka-
+    # Yau c1^2 <= 9chi; Castelnuovo c1^2 >= 3p_g - 7 wherever the canonical
+    # map is birational (degree 1).  The invariants are affine in s along
+    # a run of `s_runs` and the class is constant there, so an inequality
+    # that holds at both ends of a run holds between; Castelnuovo's slack
+    # rises by 1 with s, so it can reach 0 only at an end
+    on_noether, on_castelnuovo, below_castelnuovo = set(), set(), set()
+    for d in range(2, 200):
+        for run in s_runs(d, range(1, zones(d).cover_yes_max + 1)):
+            for s in {run[0], run[-1]}:
+                pair = BlowupPair(d, s)
+                inv = cover_invariants(pair)
+                degree1 = deformation_class(pair) is DeformationClass.DEGREE1
+                noether = inv.c1sq - (2 * inv.p_g - 4)
+                castelnuovo = inv.c1sq - (3 * inv.p_g - 7)
+                assert noether == (d - 1) * (d - 2), (d, s)
+                assert inv.c1sq <= 9 * inv.chi, (d, s)
+                assert castelnuovo >= 0 or not degree1, (d, s)
+                if noether == 0:
+                    on_noether.add((d, s))
+                if degree1 and castelnuovo == 0:
+                    on_castelnuovo.add((d, s))
+                if castelnuovo < 0:
+                    below_castelnuovo.add((d, s))
+    assert on_noether == {(2, 1)}
+    assert on_castelnuovo == {(3, 5)}
+    # at d = 3 Castelnuovo alone rules out degree 1 for s <= 4
+    assert {(3, 1), (3, 4)} <= below_castelnuovo
