@@ -88,12 +88,17 @@ _PANEL_ENTRIES = 2 ** 13
 _PANEL_MIN_COLS = 64
 
 
-def _echelon(matrix: np.ndarray, p: int, rank_only: bool = False):
+def _echelon(matrix: np.ndarray, p: int, rank_only: bool = False,
+             overwrite: bool = False):
     """Reduced row echelon form over Z/pZ; returns (A, pivot columns in
     order).
 
     A holds the pivot rows ordered by pivot column, then zero rows.  With
     `rank_only` the caller reads nothing of A, only the pivot columns.
+    A is one row-major working copy of `matrix`, except with `overwrite`
+    on a writeable, C-contiguous int64 array: that array is reduced in
+    place and is A, so `matrix` is clobbered.  Only a caller that built
+    `matrix` for this one elimination passes `overwrite`.
     Below _BLOCK_MIN_ROWS rows the pivot loop runs; from there the rows
     are reduced by recursive row blocks (_reduce_rows): the top half is
     reduced first, cleared out of the bottom half with one product, and
@@ -106,8 +111,12 @@ def _echelon(matrix: np.ndarray, p: int, rank_only: bool = False):
     A = np.asarray(matrix, dtype=np.int64)
     rows, cols = A.shape
     _check_work(rows, cols)
-    # the one working copy, row-major also for a transpose
-    A = np.remainder(A, p, order="C")
+    if (overwrite and A is matrix and A.flags.c_contiguous
+            and A.flags.writeable):
+        np.remainder(A, p, out=A)
+    else:
+        # the one working copy, row-major also for a transpose
+        A = np.remainder(A, p, order="C")
     if rows < _BLOCK_MIN_ROWS:
         return A, _pivot_loop(A, p, reduced=not rank_only)
     pivots = _reduce_rows(A, p, rank_only)
@@ -273,9 +282,16 @@ def _reduce_rows(A: np.ndarray, p: int, rank_only: bool = False) -> list[int]:
     return piv1 + piv2
 
 
-def rank_mod_p(matrix: np.ndarray, p: int = DEFAULT_PRIME) -> int:
-    """Rank of an integer matrix over Z/pZ by Gaussian elimination."""
-    return len(_echelon(matrix, p, rank_only=True)[1])
+def rank_mod_p(matrix: np.ndarray, p: int = DEFAULT_PRIME,
+               overwrite: bool = False) -> int:
+    """Rank of an integer matrix over Z/pZ by Gaussian elimination.
+
+    `matrix` is left as it was, unless `overwrite` is set and it is a
+    writeable, C-contiguous int64 array: then it is eliminated in place
+    and holds garbage afterwards.  Pass `overwrite` only for a matrix
+    built for this one rank and read by no one after it.
+    """
+    return len(_echelon(matrix, p, rank_only=True, overwrite=overwrite)[1])
 
 
 def rref_mod_p(matrix: np.ndarray, p: int = DEFAULT_PRIME):
@@ -470,32 +486,36 @@ def h0_fatpoints(system: FatPointSystem, trials: int = DEFAULT_TRIALS,
     def trial(t):
         cfg = PointConfiguration.random(system.point_count, seed, p, trial=t)
         return [system.ambient_dim
-                - rank_mod_p(vanishing_matrix(cfg, system, p), p)]
+                - rank_mod_p(vanishing_matrix(cfg, system, p), p,
+                             overwrite=True)]
 
     [h0] = _extremal(trial, [system.expected_h0], trials)
     return h0
 
 
-def _prefix_ranks(matrix: np.ndarray, counts, p: int) -> np.ndarray:
+def _prefix_ranks(matrix: np.ndarray, counts, p: int,
+                  overwrite: bool = False) -> np.ndarray:
     """Rank of matrix[:s] for each s in counts, from one elimination.
 
     Echelon the transpose: its pivot columns are the rows of `matrix` not
     in the span of the rows above them, so the rank of the first s rows
-    is the number of pivots below s.
+    is the number of pivots below s.  With `overwrite`, as in rank_mod_p,
+    a transpose that is row-major is eliminated in place.
     """
-    pivots = _echelon(matrix.T, p, rank_only=True)[1]
+    pivots = _echelon(matrix.T, p, rank_only=True, overwrite=overwrite)[1]
     return np.searchsorted(pivots, counts)
 
 
 def _product_matrix(kernel: np.ndarray, maps, n_high: int) -> np.ndarray:
     """Matrix of the multiplication map on the span of the kernel rows:
     row 3t + w is kernel row t times the w-th of x, y, z, in the degree-d
-    monomial basis."""
+    monomial basis.  It is the transpose of a row-major array, the form
+    in which _prefix_ranks and _alpha_at eliminate it in place."""
     _check_size(3 * kernel.shape[0], n_high)
-    prod = np.zeros((3 * kernel.shape[0], n_high), dtype=np.int64)
+    prod_t = np.zeros((n_high, 3 * kernel.shape[0]), dtype=np.int64)
     for w, col_map in enumerate(maps):
-        prod[w::3, col_map] = kernel
-    return prod
+        prod_t[col_map, w::3] = kernel.T
+    return prod_t.T
 
 
 def _alpha_at(mat_low: np.ndarray, s: int, maps, n_high: int,
@@ -503,7 +523,7 @@ def _alpha_at(mat_low: np.ndarray, s: int, maps, n_high: int,
     """(rank, dim_source) at the first s points, eliminated for s alone."""
     kernel = kernel_basis_mod_p(mat_low[:s], p)
     prod = _product_matrix(kernel, maps, n_high)
-    return rank_mod_p(prod, p), prod.shape[0]
+    return rank_mod_p(prod.T, p, overwrite=True), prod.shape[0]
 
 
 def _kernel_flag(mat_low: np.ndarray, s0: int, p: int):
@@ -533,7 +553,7 @@ def _kernel_flag(mat_low: np.ndarray, s0: int, p: int):
         rows = np.zeros((k, m + n), dtype=np.int64)
         rows[:, m:] = kernel
         _submul_mod_p(rows[:, :m], kernel, block.T, p)
-        A, pivots = _echelon(rows, p)
+        A, pivots = _echelon(rows, p, overwrite=True)
         cut = int(np.searchsorted(pivots, m))
         removed.append(A[:cut, m:][::-1])
         left.extend(s + 1 + c for c in pivots[:cut])
@@ -572,7 +592,8 @@ def _alpha_trial(d: int, cfg: PointConfiguration, s_values,
                    - np.searchsorted(left, s_values, side="right"))
     ranks = np.zeros(len(s_values), dtype=np.int64)
     if flag.shape[0]:
-        ranks = _prefix_ranks(_product_matrix(flag, maps, n_high), sources, p)
+        ranks = _prefix_ranks(_product_matrix(flag, maps, n_high), sources,
+                              p, overwrite=True)
     if flag.shape[0] and min(s_values) < s_max:
         s_last, entry = max((s, (rank, source)) for s, rank, source
                             in zip(s_values, ranks.tolist(), sources.tolist())

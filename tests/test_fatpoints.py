@@ -444,6 +444,95 @@ def test_a_kernel_basis_holds_the_basis_and_one_gathered_block():
     assert peak <= basis.nbytes + 300 * 520 * 8 + SLACK
 
 
+def _split_workspace(rows: int) -> int:
+    """Bytes of _submul_mod_p's workspace at the top split of a block
+    elimination of `rows` rows: the bottom half's three limb arrays, at
+    most as wide as the top half, and six panel buffers."""
+    m = rows - rows // 2
+    width = max(fatpoints._PANEL_MIN_COLS, fatpoints._PANEL_ENTRIES // m)
+    return 3 * m * (rows // 2) * 8 + 6 * m * width * 8
+
+
+def test_an_h0_trial_eliminates_the_matrix_it_built_in_place():
+    # (40, 5, 30): a 450x861 matrix, 3.0 MiB.  Its working copy beside it
+    # took 3.0 MiB more.  The build's slice and tables are freed before
+    # the elimination, so the sum bounds the peak of either
+    peak = _traced_peak(lambda: h0_fatpoints(FatPointSystem(40, 5, 30),
+                                             trials=1))
+    matrix = 450 * 861 * 8
+    build = 30 * 861 * 8 + 3 * 15 * 861 * 8
+    assert peak <= matrix + build + _split_workspace(450) + SLACK
+
+
+def test_an_alpha_product_is_eliminated_in_place(monkeypatch):
+    # degree 30 at s = 200..205: the flag's product and the direct one at
+    # s = 205 are 795 and 780 rows by 496, eliminated as their 496-row
+    # transposes.  Built row by row, each took a working copy of 3.0 MiB
+    product_matrix, echelon = fatpoints._product_matrix, fatpoints._echelon
+    products, eliminated = [], []
+
+    def built(*args):
+        products.append(product_matrix(*args))
+        return products[-1]
+
+    def traced(matrix, *args, **kwargs):
+        result = []
+        peak = _traced_peak(lambda: result.append(echelon(matrix, *args,
+                                                          **kwargs)))
+        eliminated.append((matrix, result[0][0], peak))
+        return result[0]
+
+    monkeypatch.setattr(fatpoints, "_product_matrix", built)
+    monkeypatch.setattr(fatpoints, "_echelon", traced)
+    cfg = PointConfiguration.random(205, 0xC0FFEE)
+    column = _alpha_trial(30, cfg, range(200, 206), P)
+    monkeypatch.undo()
+    assert column[-1] == _alpha_reference(30, cfg, 205, P)
+    assert [prod.shape for prod in products] == [(795, 496), (780, 496)]
+    for prod in products:
+        [(working, peak)] = [(A, peak) for matrix, A, peak in eliminated
+                             if np.shares_memory(matrix, prod)]
+        assert np.shares_memory(working, prod)
+        assert peak <= _split_workspace(496) + SLACK
+
+
+def test_an_elimination_copies_its_argument_unless_told_to_overwrite():
+    # a C-contiguous int64 matrix of residues is the one input that can be
+    # reduced in place: by default no elimination touches it.  The two
+    # sizes take the two routes, the pivot loop and the row blocks
+    rng = np.random.default_rng(5)
+    for rows in (40, 160):
+        # rank rows - 10, so the kernel and the prefix ranks are not trivial
+        matrix = (rng.integers(0, P, size=(rows, rows - 10))
+                  @ rng.integers(0, 2, size=(rows - 10, rows + 20))) % P
+        assert matrix.dtype == np.int64 and matrix.flags.c_contiguous
+        before = matrix.tobytes()
+        rank = rank_mod_p(matrix)
+        assert rank == rows - 10
+        rref_mod_p(matrix)
+        kernel_basis_mod_p(matrix)
+        counts = [1, rows // 2, rows]
+        prefix = _prefix_ranks(matrix, counts, P)
+        # the transpose of a C-contiguous matrix, which _prefix_ranks turns
+        # back to row-major
+        _prefix_ranks(matrix.T, counts, P)
+        assert matrix.tobytes() == before
+        # none of these is a writeable, C-contiguous int64 array: each is
+        # copied with the flag too
+        read_only = matrix.copy()
+        read_only.flags.writeable = False
+        for other in (matrix.T, matrix[::2], matrix.astype(np.int32),
+                      read_only):
+            kept = other.tobytes()
+            assert rank_mod_p(other, overwrite=True) == rank_mod_p(other)
+            assert other.tobytes() == kept
+        assert matrix.tobytes() == before
+        # the flag on the one input it applies to: the same answers
+        assert rank_mod_p(matrix.copy(), overwrite=True) == rank
+        assert (_prefix_ranks(matrix.T.copy().T, counts, P, overwrite=True)
+                == prefix).all()
+
+
 def test_moduli_that_overflow_int64_are_rejected():
     big = 4294967311   # prime, (big - 1)**2 > 2**63
     mat = np.array([[1, 2], [3, 4]], dtype=np.int64)
@@ -851,9 +940,9 @@ def test_an_empty_kernel_is_not_eliminated(monkeypatch):
     eliminated = []
 
     def counting(fn):
-        def counted(matrix, *args):
+        def counted(matrix, *args, **kwargs):
             eliminated.append(matrix.shape[0])
-            return fn(matrix, *args)
+            return fn(matrix, *args, **kwargs)
         return counted
 
     monkeypatch.setattr(fatpoints, "rank_mod_p", counting(rank_mod_p))
@@ -939,9 +1028,9 @@ def test_a_kernel_flag_above_the_block_gate_is_in_echelon_form(monkeypatch):
     echelons = []
     real = fatpoints._echelon
 
-    def recorded(matrix, p, rank_only=False):
+    def recorded(matrix, p, rank_only=False, **kwargs):
         echelons.append((matrix.shape[0], rank_only))
-        return real(matrix, p, rank_only)
+        return real(matrix, p, rank_only, **kwargs)
 
     monkeypatch.setattr(fatpoints, "_echelon", recorded)
     column = _alpha_trial(16, cfg, s_values, P)
