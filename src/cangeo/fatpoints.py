@@ -88,6 +88,16 @@ _PANEL_ENTRIES = 2 ** 13
 _PANEL_MIN_COLS = 64
 
 
+def _in_place(matrix) -> bool:
+    """Whether an elimination with `overwrite` reduces `matrix` itself (a
+    writeable, C-contiguous int64 array) rather than a copy of it.  The
+    oracle asserts it of the matrices that vanishing_matrix and
+    _product_matrix build for one elimination, so that a change of their
+    layout cannot bring the copy back unseen."""
+    return (isinstance(matrix, np.ndarray) and matrix.dtype == np.int64
+            and matrix.flags.c_contiguous and matrix.flags.writeable)
+
+
 def _echelon(matrix: np.ndarray, p: int, rank_only: bool = False,
              overwrite: bool = False):
     """Reduced row echelon form over Z/pZ; returns (A, pivot columns in
@@ -96,9 +106,9 @@ def _echelon(matrix: np.ndarray, p: int, rank_only: bool = False,
     A holds the pivot rows ordered by pivot column, then zero rows.  With
     `rank_only` the caller reads nothing of A, only the pivot columns.
     A is one row-major working copy of `matrix`, except with `overwrite`
-    on a writeable, C-contiguous int64 array: that array is reduced in
-    place and is A, so `matrix` is clobbered.  Only a caller that built
-    `matrix` for this one elimination passes `overwrite`.
+    on a matrix that is _in_place: that array is reduced in place and is
+    A, so `matrix` is clobbered.  Only a caller that built `matrix` for
+    this one elimination passes `overwrite`.
     Below _BLOCK_MIN_ROWS rows the pivot loop runs; from there the rows
     are reduced by recursive row blocks (_reduce_rows): the top half is
     reduced first, cleared out of the bottom half with one product, and
@@ -111,8 +121,7 @@ def _echelon(matrix: np.ndarray, p: int, rank_only: bool = False,
     A = np.asarray(matrix, dtype=np.int64)
     rows, cols = A.shape
     _check_work(rows, cols)
-    if (overwrite and A is matrix and A.flags.c_contiguous
-            and A.flags.writeable):
+    if overwrite and _in_place(matrix):
         np.remainder(A, p, out=A)
     else:
         # the one working copy, row-major also for a transpose
@@ -485,9 +494,9 @@ def h0_fatpoints(system: FatPointSystem, trials: int = DEFAULT_TRIALS,
 
     def trial(t):
         cfg = PointConfiguration.random(system.point_count, seed, p, trial=t)
-        return [system.ambient_dim
-                - rank_mod_p(vanishing_matrix(cfg, system, p), p,
-                             overwrite=True)]
+        matrix = vanishing_matrix(cfg, system, p)
+        assert _in_place(matrix)
+        return [system.ambient_dim - rank_mod_p(matrix, p, overwrite=True)]
 
     [h0] = _extremal(trial, [system.expected_h0], trials)
     return h0
@@ -523,6 +532,7 @@ def _alpha_at(mat_low: np.ndarray, s: int, maps, n_high: int,
     """(rank, dim_source) at the first s points, eliminated for s alone."""
     kernel = kernel_basis_mod_p(mat_low[:s], p)
     prod = _product_matrix(kernel, maps, n_high)
+    assert _in_place(prod.T)
     return rank_mod_p(prod.T, p, overwrite=True), prod.shape[0]
 
 
@@ -592,8 +602,9 @@ def _alpha_trial(d: int, cfg: PointConfiguration, s_values,
                    - np.searchsorted(left, s_values, side="right"))
     ranks = np.zeros(len(s_values), dtype=np.int64)
     if flag.shape[0]:
-        ranks = _prefix_ranks(_product_matrix(flag, maps, n_high), sources,
-                              p, overwrite=True)
+        prod = _product_matrix(flag, maps, n_high)
+        assert _in_place(prod.T)
+        ranks = _prefix_ranks(prod, sources, p, overwrite=True)
     if flag.shape[0] and min(s_values) < s_max:
         s_last, entry = max((s, (rank, source)) for s, rank, source
                             in zip(s_values, ranks.tolist(), sources.tolist())

@@ -936,12 +936,14 @@ def test_a_reading_above_the_floor_does_not_stop_the_trials(monkeypatch):
 
 
 def test_an_empty_kernel_is_not_eliminated(monkeypatch):
-    # from s = dim V_{d-1} on, the product matrix has no rows: its rank is 0
+    # from s = dim V_{d-1} on, the product matrix has no rows: its rank is 0.
+    # _prefix_ranks gets the product and rank_mod_p its transpose, so the
+    # smaller side of each is recorded, which is 0 for an empty product
     eliminated = []
 
     def counting(fn):
         def counted(matrix, *args, **kwargs):
-            eliminated.append(matrix.shape[0])
+            eliminated.append(min(matrix.shape))
             return fn(matrix, *args, **kwargs)
         return counted
 
